@@ -157,11 +157,11 @@ func BenchmarkObjectRead64K(b *testing.B) {
 // measured delta against its ≤15 % acceptance bound.
 func benchSeqWrite(b *testing.B, journaled bool) {
 	dev := blockdev.NewMemDisk(4096, 32768)
-	opts := []object.Option{object.WithCacheBlocks(4096)}
+	cfg := object.Config{CacheBlocks: 4096}
 	if !journaled {
-		opts = append(opts, object.WithJournalBlocks(-1))
+		cfg.JournalBlocks = -1
 	}
-	st, err := object.FormatStore(dev, opts...)
+	st, err := object.Format(dev, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,19 +282,18 @@ func BenchmarkDriveReadSecure512K(b *testing.B)   { benchDriveRead(b, true, 512<
 func BenchmarkDriveReadInsecure512K(b *testing.B) { benchDriveRead(b, false, 512<<10) }
 
 // tcpDriveRig serves a drive over real TCP loopback with modeled
-// service times — a 300 MB/s media throttle under a deliberately small
-// block cache, and a 300 MB/s link throttle on the wire — so the rig
+// service times — a 512 MB/s media throttle under a deliberately small
+// block cache, and a 256 MB/s link throttle on the wire — so the rig
 // has the latency structure of real storage instead of loopback's
 // memory-speed transfers. Both the serial and pipelined benchmarks run
 // over this same stack.
 func tcpDriveRig(b *testing.B, opts ...client.Option) (*client.Drive, capability.Capability, uint64) {
 	b.Helper()
-	// The store re-reads extent metadata under cache pressure (~4x
-	// device reads per payload byte at this cache size), so 128 MB/s of
-	// raw media bandwidth delivers roughly the link's 32 MB/s in
-	// payload terms — a balanced media/wire regime like the paper's
-	// (fast-SCSI drives behind OC-3-class links), which is where
-	// pipelining pays.
+	// layout's metadata block cache keeps onode and pointer-block reads
+	// off the media, so each request costs only its payload reads and
+	// the media has 2x headroom over the link: the rig is wire-bound,
+	// the regime of the paper's fast-SCSI drives behind OC-3-class
+	// links, which is where pipelining pays.
 	const mediaBps = 512 << 20
 	const linkBps = 256 << 20
 	master := crypt.NewRandomKey()

@@ -24,14 +24,7 @@ type benchResult struct {
 	Config     benchConfig               `json:"config"`
 	Throughput map[string]float64        `json:"throughput_mbps"`
 	Latency    map[string]latencySummary `json:"latency_ns"`
-	// AllocsPerOp / BytesPerOp record heap-allocation cost per logical
-	// operation (runtime.MemStats deltas across a measured phase divided
-	// by its operation count, covering both halves of an in-process
-	// client+drive pair). They track the zero-copy data path: a
-	// regression here shows up before it costs bandwidth.
-	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
-	// Counters carries resilience counters for runs (like -chaos) whose
+	// Counters carries resilience counters for runs (like chaos) whose
 	// point is fault handling rather than bandwidth. Omitted otherwise.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	// Tenants splits the drive-side op totals by the capability's

@@ -76,7 +76,6 @@ var (
 	ErrNoObject  = errors.New("cheops: no such logical object")
 	ErrBadLayout = errors.New("cheops: invalid layout")
 	ErrDegraded  = errors.New("cheops: too many failed components")
-	ErrLockHeld  = errors.New("cheops: stripe lock held")
 	// ErrStaleLayout means the manager changed a logical object's
 	// component layout (a repair) after this handle opened; the caller
 	// must re-open the object to get the new layout and capabilities.

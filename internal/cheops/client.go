@@ -199,10 +199,6 @@ func (o *Object) parityIndex(stripe int64) int {
 	return int(stripe % int64(o.desc.Width()))
 }
 
-type ioResult struct {
-	err error
-}
-
 // ReadAt reads n bytes at logical offset off, fanning the per-lane
 // spans out to all component drives concurrently (each span is itself
 // pipelined when large). For redundant layouts it reconstructs around a

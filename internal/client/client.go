@@ -166,7 +166,6 @@ type Drive struct {
 	cli      *rpc.Client
 	gen      uint64 // bumped per reconnect; names a connection incarnation
 	dial     func() (rpc.Conn, error)
-	driveID  uint64
 	clientID uint64
 	counter  atomic.Uint64
 	secure   bool
@@ -192,7 +191,6 @@ type Drive struct {
 // WithWindow, and WithMetrics.
 func New(conn rpc.Conn, driveID, clientID uint64, opts ...Option) *Drive {
 	d := &Drive{
-		driveID:  driveID,
 		clientID: clientID,
 		secure:   true,
 		fragSize: DefaultFragmentSize,
@@ -224,35 +222,8 @@ func (d *Drive) Close() error {
 	return cli.Close()
 }
 
-// DriveID returns the drive identity this client targets.
-func (d *Drive) DriveID() uint64 { return d.driveID }
-
 // Metrics returns the connection's telemetry registry.
 func (d *Drive) Metrics() *telemetry.Registry { return d.reg }
-
-// Stats is a snapshot of this connection's observability counters.
-//
-// Deprecated: the fields are now views over the telemetry registry;
-// use Metrics().Snapshot() for the full set.
-type Stats struct {
-	RPC     rpc.ClientStats
-	Retries uint64 // pipelined fragments re-issued after transient failures
-}
-
-// Stats returns the connection counters.
-func (d *Drive) Stats() Stats {
-	cli, _ := d.client()
-	return Stats{RPC: cli.Stats(), Retries: d.retries.Load()}
-}
-
-// ServerMetrics fetches the drive's own telemetry snapshot over the
-// stats RPC: per-op service times split into digest/object/media
-// components (the paper's Table 1 decomposition, measured), cache and
-// media counters, and — when traceN > 0 — the tail of the drive's
-// request trace log.
-func (d *Drive) ServerMetrics(ctx context.Context, traceN int) (drive.StatsReply, error) {
-	return d.ServerStats(ctx, drive.StatsArgs{TraceN: uint32(traceN)})
-}
 
 // ServerStats is the general form of the stats RPC: the caller picks
 // exactly which optional sections (trace tail, span lookup, event-log

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nasd/internal/capability"
+	"nasd/internal/drive"
 	"nasd/internal/telemetry"
 )
 
@@ -30,7 +31,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	ctx, reqID := telemetry.WithRequestID(testCtx)
 	rc := r.mint(t, 1, obj, 1, capability.Read)
-	before, err := r.cli.ServerMetrics(testCtx, 0)
+	before, err := r.cli.ServerStats(testCtx, drive.StatsArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 
-	sr, err := r.cli.ServerMetrics(testCtx, 64)
+	sr, err := r.cli.ServerStats(testCtx, drive.StatsArgs{TraceN: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if cs.Counters["rpc.client.calls"] == 0 {
 		t.Fatal("client registry recorded no RPC calls")
 	}
-	// The deprecated Stats view stays consistent with the registry.
-	if st := r.cli.Stats(); st.RPC.Calls != cs.Counters["rpc.client.calls"] {
-		t.Fatalf("Stats().RPC.Calls = %d, registry says %d", st.RPC.Calls, cs.Counters["rpc.client.calls"])
+	if cs.Counters["rpc.client.bytes_sent"] == 0 || cs.Counters["rpc.client.bytes_recv"] == 0 {
+		t.Fatalf("client byte counters never moved: %+v", cs.Counters)
+	}
+	if n := cs.Gauges["rpc.client.inflight"]; n != 0 {
+		t.Fatalf("rpc.client.inflight = %d after all calls returned", n)
 	}
 }

@@ -78,11 +78,6 @@ func Verify(k Key, msg []byte, d Digest) bool {
 	return subtle.ConstantTimeCompare(want[:], d[:]) == 1
 }
 
-// Equal compares two digests in constant time.
-func Equal(a, b Digest) bool {
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
-}
-
 // DeriveKey derives a child key from parent for the given label and
 // index, giving each level of the hierarchy an independent key.
 func DeriveKey(parent Key, label string, index uint64) Key {
@@ -144,10 +139,6 @@ func (id KeyID) String() string {
 
 // ErrNoSuchKey is returned when a key lookup fails.
 var ErrNoSuchKey = errors.New("crypt: no such key")
-
-// ErrUnauthorized is returned when a key-management operation is
-// attempted with insufficient authority.
-var ErrUnauthorized = errors.New("crypt: key operation not authorized")
 
 // Hierarchy holds a drive's key hierarchy. The master and drive keys are
 // singletons; partition and working keys exist per partition and are

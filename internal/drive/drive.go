@@ -169,9 +169,6 @@ func fromStore(st *object.Store, cfg Config) *Drive {
 	return d
 }
 
-// ID returns the drive identity.
-func (d *Drive) ID() uint64 { return d.id }
-
 // Store exposes the underlying object store (for co-located components
 // such as simulations and tests; remote clients go through RPC).
 func (d *Drive) Store() *object.Store { return d.store }

@@ -16,16 +16,14 @@ import (
 // paper's Table 1 reports — security (digest verification), object
 // system, and media. It complements acct.go, which *models* instruction
 // counts on 1998 hardware; telemetry measures what this implementation
-// actually does, which is what `nasdbench -stats` and `nasdctl stats`
-// print.
+// actually does, which is what `nasdctl stats` prints.
 //
 // The split is measured as follows for each request: digest time is
 // timed directly inside authorize/authorizeAdmin; media time is the
 // busy-time delta of the instrumented block device (Config.Media)
 // across the request; object-system time is the remainder of the
 // handler's wall time. Digest time is exact. The media delta is exact
-// when requests are served one at a time (how `nasdbench -stats` runs)
-// and an approximation under concurrency, where overlapping requests
+// when requests are served one at a time and an approximation under concurrency, where overlapping requests
 // share the device's busy time.
 
 // MediaClock reports cumulative nanoseconds a storage medium has spent

@@ -60,7 +60,7 @@ func ablationRPCRun(proto hw.ProtocolCost, simTime time.Duration) float64 {
 		stripeUnit = 512 << 10
 		width      = 4
 	)
-	env := sim.NewEnv(7)
+	env := sim.NewEnv()
 	drives := make([]*hw.Host, width)
 	for i := range drives {
 		cpu := hw.NewCPU(env, fmt.Sprintf("nasd%d", i), 133, 2.2)

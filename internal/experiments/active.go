@@ -50,7 +50,7 @@ func runActive(quick bool) (*Result, error) {
 // (file bytes / completion time) and total network bytes.
 func activeRun(nDrives, fileMB int) (float64, int64) {
 	const catalog = 1000
-	env := sim.NewEnv(int64(nDrives))
+	env := sim.NewEnv()
 	ethernet := hw.NewLink(env, "ether10", hw.Ethernet10BytesPerSec, 500*time.Microsecond)
 	master := hw.NewCPU(env, "master", 233, 2.2)
 

@@ -69,7 +69,7 @@ func newFig6Stripe(env *sim.Env) *hw.StripeDisk {
 // measure runs reqs sequential requests of size n and returns apparent
 // bandwidth in MB/s (size / mean latency), the quantity Figure 6 plots.
 func fig6Measure(reqs, n int, perReq func(p *sim.Proc, i int, stripe *hw.StripeDisk)) float64 {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	stripe := newFig6Stripe(env)
 	var total time.Duration
 	env.Go("client", func(p *sim.Proc) {

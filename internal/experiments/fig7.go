@@ -78,7 +78,7 @@ func fig7Run(n int, simTime time.Duration) (float64, float64, float64) {
 		readSize   = 2 << 20
 		width      = 4 // each client's file is striped over 4 drives
 	)
-	env := sim.NewEnv(int64(n))
+	env := sim.NewEnv()
 	drives := make([]*hw.Host, nDrives)
 	for i := range drives {
 		// The drive's network personality: 133 MHz Alpha running the

@@ -81,7 +81,7 @@ func fig9NASD(n int, fileMB int) float64 {
 		unit  = 512 << 10
 		chunk = 2 << 20
 	)
-	env := sim.NewEnv(int64(n))
+	env := sim.NewEnv()
 	type nasdDrive struct {
 		host *hw.Host
 		disk *hw.StripeDisk
@@ -180,7 +180,7 @@ func fig9NFS(n int, fileMB int, parallel bool) float64 {
 		// an independent disk" — one stream per disk.
 		nClients = n
 	}
-	env := sim.NewEnv(int64(n) + 100)
+	env := sim.NewEnv()
 	server := hw.NewNFSServer500(env, "nfs", n)
 	// The NFS server code path is leaner than full DCE RPC per message.
 	server.Proto = hw.ProtocolCost{PerMessage: 30000, SendPerByte: 2.55, RecvPerByte: 9.5}

@@ -93,7 +93,7 @@ func runTable1(quick bool) (*Result, error) {
 
 // barracudaLatency runs the hw disk model for one microbenchmark.
 func barracudaLatency(sequential bool, size int) time.Duration {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := hw.NewDisk(env, hw.BarracudaST34371W)
 	var elapsed time.Duration
 	env.Go("io", func(p *sim.Proc) {

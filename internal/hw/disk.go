@@ -98,12 +98,6 @@ func NewDisk(env *sim.Env, params DiskParams) *Disk {
 	return &Disk{env: env, p: params, mech: env.NewResource(params.Name, 1), seqPos: -1}
 }
 
-// Params returns the disk's parameters.
-func (d *Disk) Params() DiskParams { return d.p }
-
-// Utilization returns mechanism utilization.
-func (d *Disk) Utilization() float64 { return d.mech.Utilization() }
-
 // Stats returns operation counters.
 func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten, seeks int64) {
 	return d.reads, d.writes, d.bytesRead, d.bytesWritten, d.seeks

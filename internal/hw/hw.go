@@ -83,9 +83,6 @@ func (l *Link) Transfer(p *sim.Proc, n int) {
 	}
 }
 
-// Utilization returns the link's mean utilization since time zero.
-func (l *Link) Utilization() float64 { return l.res.Utilization() }
-
 // Duplex pairs two independent directions of a full-duplex link.
 type Duplex struct {
 	// Up carries traffic from the host into the network.

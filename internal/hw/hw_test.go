@@ -10,13 +10,13 @@ import (
 
 func run(t *testing.T, fn func(p *sim.Proc, env *sim.Env)) time.Duration {
 	t.Helper()
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	env.Go("test", func(p *sim.Proc) { fn(p, env) })
 	return env.Run()
 }
 
 func TestCPUInstrTime(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	cpu := NewCPU(env, "c", 200, 2.2)
 	// 100k instructions at 2.2 CPI on 200 MHz = 1.1 ms.
 	got := cpu.InstrTime(100_000)
@@ -27,7 +27,7 @@ func TestCPUInstrTime(t *testing.T) {
 }
 
 func TestCPUQueueing(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	cpu := NewCPU(env, "c", 100, 1)
 	done := 0
 	for i := 0; i < 3; i++ {
@@ -46,7 +46,7 @@ func TestCPUQueueing(t *testing.T) {
 }
 
 func TestCPUIdlePercent(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	cpu := NewCPU(env, "c", 100, 1)
 	env.Go("w", func(p *sim.Proc) {
 		cpu.Exec(p, 1e6) // 10 ms busy
@@ -70,7 +70,7 @@ func TestLinkTransferTime(t *testing.T) {
 }
 
 func TestLinkContention(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	l := NewLink(env, "l", 10*MB, 0)
 	for i := 0; i < 2; i++ {
 		env.Go("w", func(p *sim.Proc) {
@@ -84,7 +84,7 @@ func TestLinkContention(t *testing.T) {
 }
 
 func TestSendMessageChargesBothEnds(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	a := NewHost(env, "a", NewCPU(env, "a", 100, 1), NewDuplex(env, "a", 100*MB, 0), ProtocolCost{PerMessage: 1e6, SendPerByte: 1, RecvPerByte: 2})
 	b := NewHost(env, "b", NewCPU(env, "b", 100, 1), NewDuplex(env, "b", 100*MB, 0), ProtocolCost{PerMessage: 1e6, SendPerByte: 1, RecvPerByte: 2})
 	env.Go("xfer", func(p *sim.Proc) {
@@ -118,7 +118,7 @@ func TestBarracudaMicrobench(t *testing.T) {
 		{"random 64K", false, 64 << 10, 11.1, 0.6},
 	}
 	for _, tc := range cases {
-		env := sim.NewEnv(1)
+		env := sim.NewEnv()
 		d := NewDisk(env, BarracudaST34371W)
 		var elapsed time.Duration
 		env.Go("io", func(p *sim.Proc) {
@@ -146,7 +146,7 @@ func TestBarracudaMicrobench(t *testing.T) {
 }
 
 func TestDiskSequentialStreamsAtMediaRate(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDisk(env, MedallistST52160)
 	const total = 8 << 20
 	var elapsed time.Duration
@@ -166,7 +166,7 @@ func TestDiskSequentialStreamsAtMediaRate(t *testing.T) {
 }
 
 func TestDiskRandomMuchSlowerThanSequential(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDisk(env, MedallistST52160)
 	var seqT, rndT time.Duration
 	env.Go("io", func(p *sim.Proc) {
@@ -190,7 +190,7 @@ func TestDiskRandomMuchSlowerThanSequential(t *testing.T) {
 func TestDiskReadaheadHelpsSmallSequentialReads(t *testing.T) {
 	// With host think time between requests, the firmware reads ahead
 	// and small sequential reads complete at bus rate, not media rate.
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDisk(env, MedallistST52160)
 	var secondReadTime time.Duration
 	env.Go("io", func(p *sim.Proc) {
@@ -208,7 +208,7 @@ func TestDiskReadaheadHelpsSmallSequentialReads(t *testing.T) {
 }
 
 func TestDiskWriteBehindFasterThanMedia(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDisk(env, MedallistST52160)
 	var wt time.Duration
 	env.Go("io", func(p *sim.Proc) {
@@ -224,7 +224,7 @@ func TestDiskWriteBehindFasterThanMedia(t *testing.T) {
 }
 
 func TestDiskWriteBehindOverflowsToMediaRate(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	params := MedallistST52160
 	params.CacheBytes = 64 << 10
 	d := NewDisk(env, params)
@@ -245,7 +245,7 @@ func TestDiskWriteBehindOverflowsToMediaRate(t *testing.T) {
 }
 
 func TestDiskFlushDrainsDirty(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDisk(env, MedallistST52160)
 	var flushTime time.Duration
 	env.Go("io", func(p *sim.Proc) {
@@ -261,7 +261,7 @@ func TestDiskFlushDrainsDirty(t *testing.T) {
 }
 
 func TestStripeDiskParallelism(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d1 := NewDisk(env, MedallistST52160)
 	d2 := NewDisk(env, MedallistST52160)
 	s := NewStripeDisk([]*Disk{d1, d2}, 32<<10)
@@ -290,7 +290,7 @@ func TestStripeDiskParallelism(t *testing.T) {
 }
 
 func TestStripeSplitCoalesces(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d1 := NewDisk(env, MedallistST52160)
 	s := NewStripeDisk([]*Disk{d1}, 32<<10)
 	// Single-disk stripe: everything coalesces into one extent.
@@ -301,7 +301,7 @@ func TestStripeSplitCoalesces(t *testing.T) {
 }
 
 func TestDuplexDirectionsIndependent(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := sim.NewEnv()
 	d := NewDuplex(env, "nic", 10*MB, 0)
 	env.Go("up", func(p *sim.Proc) { d.Up.Transfer(p, 1_000_000) })
 	env.Go("down", func(p *sim.Proc) { d.Down.Transfer(p, 1_000_000) })

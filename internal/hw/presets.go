@@ -13,10 +13,6 @@ const (
 	OC3ATMBytesPerSec = 135e6 / 8
 	// Ethernet10BytesPerSec is classic 10 Mb/s Ethernet.
 	Ethernet10BytesPerSec = 10e6 / 8
-	// FastEthernetBytesPerSec is 100 Mb/s Ethernet.
-	FastEthernetBytesPerSec = 100e6 / 8
-	// GigabitEthernetBytesPerSec is 1 Gb/s Ethernet.
-	GigabitEthernetBytesPerSec = 1e9 / 8
 	// LANLatency is a one-way switched-LAN latency for 1998 gear.
 	LANLatency = 100 * time.Microsecond
 )

@@ -448,9 +448,6 @@ func (j *Journal) Outstanding() int {
 	return n
 }
 
-// Capacity returns the usable byte capacity of one journal half.
-func (j *Journal) Capacity() int64 { return j.half * int64(j.bs) }
-
 // EncodeRefUpdate packs {block, ref} pairs into a KindRefUpdate
 // payload.
 func EncodeRefUpdate(blocks []int64, refs []uint16) []byte {

@@ -39,8 +39,6 @@ const (
 	// attribute block each object carries (Section 4.1: "an uninterpreted
 	// block of attribute space is available to the file manager").
 	UninterpSize = 256
-	// MaxPartitions bounds the partition table in the superblock.
-	MaxPartitions = 64
 )
 
 // Layout errors.
@@ -512,9 +510,6 @@ func (s *Store) onodeLock(idx int64) *sync.Mutex {
 
 // BlockSize returns the volume block size in bytes.
 func (s *Store) BlockSize() int64 { return int64(s.sb.BlockSize) }
-
-// DataBlocks returns the number of blocks available for data.
-func (s *Store) DataBlocks() int64 { return s.sb.TotalBlocks - s.sb.DataStart }
 
 // FreeBlocks returns the number of currently unreferenced data blocks.
 func (s *Store) FreeBlocks() int64 {
@@ -1285,11 +1280,4 @@ func (s *Store) RepairRef(blk int64, v uint16) {
 		return
 	}
 	s.setRef(blk, v)
-}
-
-// MarkSuperblockDirty schedules the superblock for rewrite on next Sync.
-func (s *Store) MarkSuperblockDirty() {
-	s.lockAlloc()
-	defer s.mu.Unlock()
-	s.sbDirty = true
 }

@@ -65,15 +65,6 @@ func (l *Log) segBytes() int64 {
 	return int64(l.e.cfg.SegmentBlocks) * l.e.bs
 }
 
-func (l *Log) findSeg(seq uint64) *segment {
-	for _, s := range l.segs {
-		if s.seq == seq {
-			return s
-		}
-	}
-	return nil
-}
-
 // rollLocked seals the active segment and opens a fresh one: quota is
 // charged for the whole segment up front, blocks come from the space
 // allocator, and the updated segment table is persisted durably before

@@ -38,7 +38,7 @@
 // mid-update never leaves them torn. Open scans the journal, replays
 // the committed tail over the on-media state, verifies and repairs
 // block reference counts, and reports what it did through
-// RecoveryInfo. WithJournalBlocks(-1) formats a volume without a
+// RecoveryInfo. A negative Config.JournalBlocks formats a volume without a
 // journal; such volumes keep the pre-journal semantics — metadata is
 // written in place and is crash-safe only up to the last Flush.
 // DESIGN.md §7 specifies the commit protocol and the recovery
@@ -155,8 +155,8 @@ type Partition struct {
 	metaIdx  uint64
 }
 
-// Config controls store creation. Prefer building it through the
-// functional options accepted by FormatStore/OpenStore.
+// Config controls store creation. The zero value is valid: fill
+// supplies the maintained default for every unset field.
 type Config struct {
 	// CacheBlocks is the buffer cache capacity in blocks (default 1024).
 	CacheBlocks int
@@ -164,7 +164,8 @@ type Config struct {
 	// cache uses (default cache.DefaultShards).
 	CacheShards int
 	// ReadaheadBlocks is how many blocks are prefetched past a detected
-	// sequential read (default 16; 0 disables readahead).
+	// sequential read (0 selects the default of 16; a negative value
+	// disables readahead).
 	ReadaheadBlocks int
 	// Clock supplies timestamps (default time.Now). Experiments inject
 	// simulated clocks.
@@ -259,8 +260,6 @@ type Store struct {
 }
 
 // Format initializes dev as an empty object store.
-//
-// Deprecated: use FormatStore with functional options.
 func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	lay, err := layout.Format(dev, layout.FormatOptions{
@@ -292,8 +291,6 @@ func Format(dev blockdev.Device, cfg Config) (*Store, error) {
 // replayed, torn journal tails discarded, and the block reference
 // counts re-derived from reachability before the store accepts traffic
 // (see recover.go).
-//
-// Deprecated: use OpenStore with functional options.
 func Open(dev blockdev.Device, cfg Config) (*Store, error) {
 	cfg.fill()
 	start := time.Now()
@@ -359,9 +356,6 @@ func (s *Store) lockParts() { s.pmeter.Lock(&s.pmu) }
 
 // BlockSize returns the store's block size in bytes.
 func (s *Store) BlockSize() int64 { return s.classic.lay.BlockSize() }
-
-// MaxObjectSize returns the largest supported object size.
-func (s *Store) MaxObjectSize() uint64 { return s.classic.lay.MaxObjectSize() }
 
 // FreeBlocks returns the number of free data blocks.
 func (s *Store) FreeBlocks() int64 { return s.classic.lay.FreeBlocks() }
@@ -598,14 +592,6 @@ func (s *Store) Partitions() []Partition {
 		out = append(out, *p)
 	}
 	return out
-}
-
-// partExists reports whether partition part is present.
-func (s *Store) partExists(part uint16) bool {
-	s.lockParts()
-	defer s.pmu.Unlock()
-	_, ok := s.parts[part]
-	return ok
 }
 
 // --- Object lifecycle ---------------------------------------------------

@@ -513,39 +513,48 @@ func TestWriteBehindVisibleBeforeFlush(t *testing.T) {
 	}
 }
 
+// TestReadaheadPopulatesCache covers an explicit window and the zero
+// value, which selects the 16-block default (only a negative
+// ReadaheadBlocks disables readahead; concurrency_test.go pins that).
 func TestReadaheadPopulatesCache(t *testing.T) {
-	dev := blockdev.NewMemDisk(4096, 4096)
-	s, err := Format(dev, Config{ReadaheadBlocks: 8, CacheBlocks: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreatePartition(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	id, _ := s.Create(1)
-	if err := s.Write(1, id, 0, make([]byte, 256*1024)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen so nothing is cached, then read sequentially.
-	s2, err := Open(dev, Config{ReadaheadBlocks: 8, CacheBlocks: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := uint64(0); off < 64*1024; off += 4096 {
-		if _, err := s2.Read(1, id, off, 4096); err != nil {
+	for _, tc := range []struct{ blocks, want int }{{8, 8}, {0, 16}} {
+		dev := blockdev.NewMemDisk(4096, 4096)
+		cfg := Config{ReadaheadBlocks: tc.blocks, CacheBlocks: 256}
+		s, err := Format(dev, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := s2.CacheStats()
-	if st.Prefetches == 0 {
-		t.Fatal("sequential read triggered no readahead")
-	}
-	if st.Hits < st.Misses {
-		t.Fatalf("readahead ineffective: %d hits, %d misses", st.Hits, st.Misses)
+		if err := s.CreatePartition(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		id, _ := s.Create(1)
+		if err := s.Write(1, id, 0, make([]byte, 256*1024)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Reopen so nothing is cached, then read sequentially.
+		s2, err := Open(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.cfg.ReadaheadBlocks != tc.want {
+			t.Fatalf("ReadaheadBlocks %d: window %d, want %d", tc.blocks, s2.cfg.ReadaheadBlocks, tc.want)
+		}
+		for off := uint64(0); off < 64*1024; off += 4096 {
+			if _, err := s2.Read(1, id, off, 4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s2.CacheStats()
+		if st.Prefetches == 0 {
+			t.Fatalf("ReadaheadBlocks %d: sequential read triggered no readahead", tc.blocks)
+		}
+		if st.Hits < st.Misses {
+			t.Fatalf("ReadaheadBlocks %d: readahead ineffective: %d hits, %d misses", tc.blocks, st.Hits, st.Misses)
+		}
 	}
 }
 

@@ -125,12 +125,6 @@ func (fs *FS) Open(name string, drives []*client.Drive, rights capability.Rights
 	return &File{fs: fs, name: name, obj: obj}, nil
 }
 
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
-// Size returns the file size at open time (refresh with Stat).
-func (f *File) Size() uint64 { return f.obj.Size() }
-
 // Stat refreshes and returns the file size from the manager.
 func (f *File) Stat() (uint64, error) {
 	fs := f.fs

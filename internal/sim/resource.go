@@ -26,15 +26,6 @@ func (e *Env) NewResource(name string, capacity int) *Resource {
 	return &Resource{env: e, name: name, capacity: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 func (r *Resource) stamp() {
 	now := r.env.now
 	r.busy += time.Duration(r.inUse) * (now - r.lastStamp)
@@ -96,12 +87,6 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.busy) / (float64(now) * float64(r.capacity))
-}
-
-// BusyTime returns the cumulative busy time (summed over units).
-func (r *Resource) BusyTime() time.Duration {
-	r.stamp()
-	return r.busy
 }
 
 // Queue is an unbounded FIFO of values with blocking receive, useful for

@@ -3,7 +3,7 @@
 // Processes are ordinary functions running on goroutines, but the kernel
 // guarantees that exactly one process executes at a time and that events
 // fire in strict timestamp order (ties broken by scheduling sequence), so
-// a simulation with a fixed seed is fully reproducible.
+// a simulation is fully reproducible.
 //
 // The kernel is the substrate for the hardware models in internal/hw and
 // for every experiment harness that regenerates a figure or table from
@@ -15,7 +15,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -27,27 +26,17 @@ type Env struct {
 	seq     uint64
 	current *Proc
 	yield   chan struct{}
-	rng     *rand.Rand
 	procs   int
 	stopped bool
 }
 
-// NewEnv returns a new simulation environment whose random source is
-// seeded with seed. The clock starts at zero.
-func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+// NewEnv returns a new simulation environment. The clock starts at zero.
+func NewEnv() *Env {
+	return &Env{yield: make(chan struct{})}
 }
 
 // Now returns the current simulated time.
 func (e *Env) Now() time.Duration { return e.now }
-
-// Rand returns the environment's deterministic random source. It must
-// only be used from within running processes (or before Run), never from
-// foreign goroutines.
-func (e *Env) Rand() *rand.Rand { return e.rng }
 
 type event struct {
 	at   time.Duration
@@ -76,16 +65,12 @@ func (e *Env) schedule(p *Proc, at time.Duration) {
 // process function and must only be used by that function's goroutine.
 type Proc struct {
 	env    *Env
-	name   string
 	resume chan struct{}
 	done   bool
 }
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() time.Duration { return p.env.now }
@@ -100,9 +85,9 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 // in the past).
 func (e *Env) GoAt(at time.Duration, name string, fn func(*Proc)) *Proc {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: GoAt(%v) in the past (now %v)", at, e.now))
+		panic(fmt.Sprintf("sim: GoAt(%v) of %q in the past (now %v)", at, name, e.now))
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, resume: make(chan struct{})}
 	e.procs++
 	go func() {
 		<-p.resume
@@ -183,9 +168,6 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
-
-// Value returns the value passed to Fire (nil before firing).
-func (ev *Event) Value() any { return ev.value }
 
 // Fire marks the event fired with value v and schedules all waiters at
 // the current simulated time. Firing twice panics.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestClockAdvances(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	var seen []time.Duration
 	e.Go("a", func(p *Proc) {
 		p.Wait(10 * time.Millisecond)
@@ -25,7 +25,7 @@ func TestClockAdvances(t *testing.T) {
 
 func TestEventOrderingDeterministic(t *testing.T) {
 	run := func() []string {
-		e := NewEnv(42)
+		e := NewEnv()
 		var order []string
 		for _, n := range []string{"a", "b", "c"} {
 			n := n
@@ -56,7 +56,7 @@ func TestEventOrderingDeterministic(t *testing.T) {
 }
 
 func TestGoAtPastPanics(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	e.Go("a", func(p *Proc) {
 		p.Wait(time.Second)
 		defer func() {
@@ -70,7 +70,7 @@ func TestGoAtPastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	ticks := 0
 	e.Go("ticker", func(p *Proc) {
 		for {
@@ -96,7 +96,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	n := 0
 	e.Go("a", func(p *Proc) {
 		for i := 0; i < 100; i++ {
@@ -114,7 +114,7 @@ func TestStop(t *testing.T) {
 }
 
 func TestEventFireWakesAllWaiters(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	ev := e.NewEvent()
 	woken := 0
 	for i := 0; i < 3; i++ {
@@ -140,7 +140,7 @@ func TestEventFireWakesAllWaiters(t *testing.T) {
 }
 
 func TestEventWaitAfterFire(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	ev := e.NewEvent()
 	e.Go("a", func(p *Proc) {
 		ev.Fire("x")
@@ -152,7 +152,7 @@ func TestEventWaitAfterFire(t *testing.T) {
 }
 
 func TestEventDoubleFirePanics(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	e.Go("a", func(p *Proc) {
 		ev := e.NewEvent()
 		ev.Fire(nil)
@@ -167,7 +167,7 @@ func TestEventDoubleFirePanics(t *testing.T) {
 }
 
 func TestResourceMutualExclusion(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	r := e.NewResource("cpu", 1)
 	var holds [][2]time.Duration
 	for i := 0; i < 3; i++ {
@@ -194,7 +194,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	r := e.NewResource("disk", 1)
 	var order []int
 	e.Go("holder", func(p *Proc) {
@@ -217,7 +217,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceCapacity(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	r := e.NewResource("bus", 2)
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -236,7 +236,7 @@ func TestResourceCapacity(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	r := e.NewResource("cpu", 1)
 	e.Go("u", func(p *Proc) {
 		r.Use(p, 250*time.Millisecond)
@@ -249,7 +249,7 @@ func TestResourceUtilization(t *testing.T) {
 }
 
 func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	r := e.NewResource("x", 1)
 	e.Go("a", func(p *Proc) {
 		if !r.TryAcquire() {
@@ -268,7 +268,7 @@ func TestResourceTryAcquire(t *testing.T) {
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	e.Go("a", func(p *Proc) {
 		r := e.NewResource("x", 1)
 		defer func() {
@@ -282,7 +282,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 }
 
 func TestQueueBlocksUntilPut(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	q := e.NewQueue()
 	var got any
 	var when time.Duration
@@ -301,7 +301,7 @@ func TestQueueBlocksUntilPut(t *testing.T) {
 }
 
 func TestQueueFIFOOrder(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	q := e.NewQueue()
 	var got []int
 	e.Go("c", func(p *Proc) {
@@ -322,7 +322,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 }
 
 func TestSpawnFromProcess(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	var childTime time.Duration
 	e.Go("parent", func(p *Proc) {
 		p.Wait(time.Second)
@@ -338,7 +338,7 @@ func TestSpawnFromProcess(t *testing.T) {
 }
 
 func TestWaitAll(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	ev1, ev2 := e.NewEvent(), e.NewEvent()
 	var done time.Duration
 	e.Go("waiter", func(p *Proc) {
@@ -389,7 +389,7 @@ func TestEmptyTallySafe(t *testing.T) {
 }
 
 func TestNegativeWaitPanics(t *testing.T) {
-	e := NewEnv(1)
+	e := NewEnv()
 	e.Go("a", func(p *Proc) {
 		defer func() {
 			if recover() == nil {

@@ -27,9 +27,6 @@ func (t *Tally) Add(v float64) {
 	t.sumSq += v * v
 }
 
-// AddDuration records a duration observation in seconds.
-func (t *Tally) AddDuration(d time.Duration) { t.Add(d.Seconds()) }
-
 // N returns the number of observations.
 func (t *Tally) N() int64 { return t.n }
 

@@ -13,8 +13,9 @@
 // counters and service-time histograms into telemetry registries so the
 // same quantities can be observed from a live system: `nasdd` serves a
 // registry at /metrics, `nasdctl stats` fetches a drive's snapshot over
-// RPC, and `nasdbench -stats` reproduces the Table 1 cost split from a
-// live workload.
+// RPC and prints its Table 1 cost split, and perfbench's traced run
+// (`bash perfbench/run.sh --trace 1`) splits a live workload's client
+// latency across the layers.
 //
 // Beyond aggregates, the package carries a span plane for per-request
 // timelines: a Span is a timed interval with a trace ID, span ID,

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // TraceEvent is one completed request as seen by a server: which
 // operation ran under which request ID, how long it took, and how it
@@ -16,9 +13,6 @@ type TraceEvent struct {
 	Bytes     int    `json:"bytes"`
 	UnixNano  int64  `json:"unix_ns"` // completion time
 }
-
-// Dur returns the event duration.
-func (e *TraceEvent) Dur() time.Duration { return time.Duration(e.DurNanos) }
 
 // TraceLog is a bounded ring of recent trace events. Recording is
 // cheap (one mutexed slot write), so a drive can log every request it

@@ -46,8 +46,8 @@ go test -race -short \
 # cache dropped), restarted through journal recovery, marked stale, and
 # rebuilt; every op still verifies, and the run asserts the
 # retry/failover/breaker counters AND journal.replays advanced.
-echo "==> go run ./cmd/nasdbench -chaos -chaos-duration 2s -json ."
-go run ./cmd/nasdbench -chaos -chaos-duration 2s -json . > /dev/null
+echo "==> go run ./cmd/nasdbench -workload chaos -chaos-duration 2s -json ."
+go run ./cmd/nasdbench -workload chaos -chaos-duration 2s -json . > /dev/null
 test -s BENCH_chaos.json
 
 # Benchmark smoke: every benchmark must still run (one iteration each);
@@ -58,12 +58,17 @@ test -s BENCH_chaos.json
 echo "==> go test -run '^$' -bench . -benchtime 1x -benchmem ./..."
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 
-# End-to-end bench smoke: a small live -stats run must complete and
-# emit a machine-readable result (schema in EXPERIMENTS.md). CI uploads
-# the BENCH_*.json as an artifact for run-over-run comparison.
-echo "==> go run ./cmd/nasdbench -stats -stats-mb 2 -json ."
-go run ./cmd/nasdbench -stats -stats-mb 2 -json . > /dev/null
-test -s BENCH_stats.json
+# Repo benchmark checks: perfbench is a nested module, so the root
+# `go test ./...` above neither builds nor tests it. Vet and test it
+# here (a deletion in the root module that breaks perfbench's build
+# fails at this step), then run a short traced stream workload — the
+# bulk write/read path with its Table-1 split and lock table — whose
+# summary line must report every byte verified.
+echo "==> (cd perfbench && go vet ./... && go test ./...)"
+(cd perfbench && go vet ./... && go test ./...)
+echo "==> bash perfbench/run.sh --workload stream --seed 1 --seconds 2 --trace 1"
+stream_out=$(bash perfbench/run.sh --workload stream --seed 1 --seconds 2 --trace 1)
+echo "$stream_out" | tail -n 1 | grep -q '"correct":true' || { echo "perfbench stream smoke: last line does not report \"correct\":true" >&2; exit 1; }
 
 # QoS smoke: the multi-tenant overload scenario must hold its
 # starvation bound end to end — a ~10x open-loop aggressor flood
