@@ -365,11 +365,14 @@ func (c *ctl) run(args []string) error {
 		telemetry.WriteExemplars(os.Stdout, sr.Metrics, "drive.op")
 		fmt.Println()
 		telemetry.WriteText(os.Stdout, sr.Metrics)
-		if len(sr.Trace) > 0 {
-			fmt.Printf("\nlast %d requests:\n", len(sr.Trace))
-			for _, ev := range sr.Trace {
-				fmt.Printf("  req=%d %-10s %-12s %10s %8dB\n",
-					ev.RequestID, ev.Op, ev.Status, time.Duration(ev.DurNanos).Round(time.Microsecond), ev.Bytes)
+		if len(sr.Requests) > 0 {
+			fmt.Printf("\nlast %d requests:\n", len(sr.Requests))
+			for _, r := range sr.Requests {
+				in, _ := strconv.Atoi(r.Note("bytes_in"))
+				out, _ := strconv.Atoi(r.Note("bytes_out"))
+				fmt.Printf("  req=%d %-10s %-12s %10s %8dB\n", r.TraceID,
+					strings.TrimPrefix(r.Name, telemetry.RequestSpanPrefix), r.Note("status"),
+					r.Dur().Round(time.Microsecond), in+out)
 			}
 		}
 		return nil

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"nasd/internal/capability"
@@ -13,7 +14,7 @@ import (
 // the whole observability story: per-op drive counters with the
 // digest/object split, RPC-plane counters sharing the registry, cache
 // hit counters, trace-ID propagation from client context to the
-// drive's trace log, and the stats RPC that carries it all back.
+// drive's request log, and the stats RPC that carries it all back.
 func TestTelemetryEndToEnd(t *testing.T) {
 	r := newRig(t, true)
 	r.mkpart(t, 1, 0)
@@ -72,13 +73,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			before.Metrics.Gauges["drive.cache.hits"], m.Gauges["drive.cache.hits"])
 	}
 
-	// The context request ID crossed the wire into the drive trace log.
+	// The context request ID crossed the wire into the drive's request
+	// log: its handler spans carry the trace ID and the served bytes.
 	found := 0
-	for _, ev := range sr.Trace {
-		if ev.RequestID == reqID {
+	for _, r := range sr.Requests {
+		if r.TraceID == reqID {
 			found++
-			if ev.Op != "read" {
-				t.Fatalf("traced op = %q, want read", ev.Op)
+			if r.Name != "drive.read" || r.Note("status") != "ok" || r.Note("bytes_out") != strconv.Itoa(len(data)) {
+				t.Fatalf("traced request = %+v, want an ok drive.read of %d bytes", r, len(data))
 			}
 		}
 	}

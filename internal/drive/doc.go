@@ -11,7 +11,9 @@
 // authorize), media (the instrumented block device's busy-time delta),
 // and object system (the remainder) — and published into a
 // telemetry.Registry as the drive.op.<op>.* family, next to cache
-// hit/miss counters and a bounded trace ring of recent requests keyed
-// by the client's request ID. The stats op returns the whole snapshot
-// over the NASD interface itself; see DESIGN.md §5.
+// hit/miss counters. Every request also gets a drive.<op> handler span
+// in the drive's span log, keyed by the client's request ID (or a
+// local one), and those spans are the drive's request log. The stats
+// op returns the snapshot and the spans over the NASD interface
+// itself; see DESIGN.md §5.
 package drive

@@ -280,8 +280,14 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 	ph := &phases{}
 	// Resume the caller's trace: the drive-side handler span becomes a
 	// child of the client span whose context rode in the request header.
-	sp := d.tel.spans.StartRemote(req.Trace.TraceID, req.Trace.Parent, "drive."+op.String())
-	if mt, ok := d.tel.media.(mediaTracer); ok && sp != nil {
+	// An untraced request gets a local trace, so every request served
+	// has its handler span in the drive's request log.
+	traceID := req.Trace.TraceID
+	if traceID == 0 {
+		traceID = telemetry.NextRequestID()
+	}
+	sp := d.tel.spans.StartRemote(traceID, req.Trace.Parent, telemetry.RequestSpanPrefix+op.String())
+	if mt, ok := d.tel.media.(mediaTracer); ok {
 		// Ambient trace context for per-I/O media spans; approximate
 		// under concurrent requests, exact when serialized (the same
 		// caveat as the media busy-time delta).

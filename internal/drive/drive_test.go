@@ -202,6 +202,44 @@ func TestProtoRoundTrips(t *testing.T) {
 	}
 }
 
+// TestStatsArgsOneWireShape checks the stats request has exactly one
+// wire shape: the full record round-trips and every truncation of it
+// is rejected rather than read as an older, shorter record.
+func TestStatsArgsOneWireShape(t *testing.T) {
+	a := StatsArgs{TraceN: 8, SpanTrace: 9, SpanN: 10, EventN: 11, EventMin: 2}
+	b := a.Encode()
+	if got, err := DecodeStatsArgs(b); err != nil || got != a {
+		t.Fatalf("StatsArgs: %+v, %v", got, err)
+	}
+	for n := 0; n < len(b); n++ {
+		if got, err := DecodeStatsArgs(b[:n]); err == nil {
+			t.Fatalf("%d-byte truncated record decoded as %+v", n, got)
+		}
+	}
+}
+
+// TestUntracedRequestLogged checks that a request arriving without a
+// trace context still lands in the drive's request log under a local
+// trace ID, with the annotations `nasdctl stats N` prints.
+func TestUntracedRequestLogged(t *testing.T) {
+	dev := blockdev.NewMemDisk(4096, 1024)
+	d, err := NewFormat(dev, Config{ID: 1, Master: crypt.NewRandomKey()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := d.Handle(&rpc.Request{Proc: uint16(OpFlush)}); rep.Status != rpc.StatusOK {
+		t.Fatalf("flush: %v", rep.Status)
+	}
+	reqs := d.Spans().Requests(8)
+	if len(reqs) != 1 {
+		t.Fatalf("request log holds %d spans, want 1", len(reqs))
+	}
+	r := reqs[0]
+	if r.Name != "drive.flush" || r.TraceID == 0 || r.Note("status") != "ok" || r.Note("bytes_in") != "0" {
+		t.Fatalf("request span = %+v", r)
+	}
+}
+
 func TestKernelExecution(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 2048)
 	d, err := NewFormat(dev, Config{ID: 1, Master: crypt.NewRandomKey()})

@@ -346,10 +346,11 @@ func DecodeExecuteArgs(b []byte) (ExecuteArgs, error) {
 }
 
 // StatsArgs requests a telemetry snapshot. TraceN bounds how many
-// recent trace events ride along (0 = none). SpanTrace, when non-zero,
-// asks for every span of that trace ID; otherwise SpanN bounds how many
-// recent spans ride along. EventN bounds how many structured events of
-// at least EventMin severity ride along (0 = none).
+// recent request (drive.<op> handler) spans ride along (0 = none).
+// SpanTrace, when non-zero, asks for every span of that trace ID;
+// otherwise SpanN bounds how many recent spans ride along. EventN
+// bounds how many structured events of at least EventMin severity ride
+// along (0 = none).
 type StatsArgs struct {
 	TraceN    uint32
 	SpanTrace uint64
@@ -369,18 +370,10 @@ func (a *StatsArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeStatsArgs parses StatsArgs. The event fields are optional on
-// the wire so a pre-events client's shorter record still decodes.
+// DecodeStatsArgs parses StatsArgs.
 func DecodeStatsArgs(b []byte) (StatsArgs, error) {
 	d := rpc.NewDecoder(b)
-	a := StatsArgs{TraceN: d.U32(), SpanTrace: d.U64(), SpanN: d.U32()}
-	if err := d.Err(); err != nil {
-		return a, err
-	}
-	if len(b) > 16 {
-		a.EventN = d.U32()
-		a.EventMin = d.U8()
-	}
+	a := StatsArgs{TraceN: d.U32(), SpanTrace: d.U64(), SpanN: d.U32(), EventN: d.U32(), EventMin: d.U8()}
 	return a, d.Err()
 }
 

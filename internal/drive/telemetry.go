@@ -84,7 +84,6 @@ type tenantTel struct {
 type driveTel struct {
 	reg      *telemetry.Registry
 	ops      [opMax]*opTel
-	trace    *telemetry.TraceLog
 	media    MediaClock
 	spans    *telemetry.SpanLog
 	events   *telemetry.EventLog
@@ -100,7 +99,7 @@ type driveTel struct {
 // newDriveTel builds the per-op metric table inside reg.
 func newDriveTel(reg *telemetry.Registry, media MediaClock, spans *telemetry.SpanLog, events *telemetry.EventLog) *driveTel {
 	t := &driveTel{
-		reg: reg, trace: telemetry.NewTraceLog(512), media: media,
+		reg: reg, media: media,
 		spans: spans, events: events, tenants: make(map[uint32]*tenantTel),
 	}
 	for _, name := range lockWaitFamilies {
@@ -198,31 +197,38 @@ func (ph *phases) setTenant(part uint16) {
 	}
 }
 
-// record publishes one completed request into the per-op metrics, the
-// trace log, and — when the request carried a trace context — the span
-// log. sp is the drive-side handler span (nil when untraced); lockWait
-// is the request's lock-wait delta in nanoseconds.
+// record publishes one completed request into the per-op metrics and
+// the span log. sp is the drive-side handler span, the request's entry
+// in the drive's request log; lockWait is the request's lock-wait
+// delta in nanoseconds.
 func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Duration, ph *phases, mediaDelta int64, sp *telemetry.Span, lockWait int64) {
-	if int(op) >= opMax || t.ops[op] == nil {
-		sp.End()
-		return
-	}
-	m := t.ops[op]
-	m.calls.Inc()
 	status := rpc.StatusOK
 	nIn, nOut := len(req.Data), 0
 	if rep != nil {
 		status = rep.Status
 		nOut = len(rep.Data)
 	}
+	sp.Annotate("status", status.String())
+	sp.Annotate("bytes_in", strconv.Itoa(nIn))
+	sp.Annotate("bytes_out", strconv.Itoa(nOut))
+	if lockWait > 0 {
+		sp.Annotate("lock_wait_ns", strconv.FormatInt(lockWait, 10))
+	}
+	if int(op) >= opMax || t.ops[op] == nil {
+		sp.End()
+		return
+	}
+	m := t.ops[op]
+	m.calls.Inc()
 	if status != rpc.StatusOK {
 		m.errors.Inc()
 	}
 	m.bytesIn.Add(uint64(nIn))
 	m.bytesOut.Add(uint64(nOut))
-	// Traced requests leave their (trace ID, duration) as the bucket's
+	// Each request leaves its (trace ID, duration) as the bucket's
 	// exemplar, the link from a tail percentile to its span timeline.
-	m.svc.ObserveTrace(int64(total), req.Trace.TraceID)
+	traceID := sp.Context().TraceID
+	m.svc.ObserveTrace(int64(total), traceID)
 	if ph.hasTenant {
 		tt := t.tenant(ph.tenant, op)
 		tt.calls.Inc()
@@ -231,7 +237,7 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 		}
 		tt.bytesIn.Add(uint64(nIn))
 		tt.bytesOut.Add(uint64(nOut))
-		tt.svc.ObserveTrace(int64(total), req.Trace.TraceID)
+		tt.svc.ObserveTrace(int64(total), traceID)
 	}
 	m.digest.Add(uint64(ph.digest))
 	if mediaDelta < 0 {
@@ -243,24 +249,8 @@ func (t *driveTel) record(op Op, req *rpc.Request, rep *rpc.Reply, total time.Du
 		obj = 0
 	}
 	m.object.Add(uint64(obj))
-	t.trace.Add(telemetry.TraceEvent{
-		RequestID: req.Trace.TraceID,
-		Op:        op.String(),
-		Status:    status.String(),
-		DurNanos:  int64(total),
-		Bytes:     nIn + nOut,
-		UnixNano:  time.Now().UnixNano(),
-	})
-	if sp != nil {
-		sp.Annotate("status", status.String())
-		sp.Annotate("bytes_in", strconv.Itoa(nIn))
-		sp.Annotate("bytes_out", strconv.Itoa(nOut))
-		if lockWait > 0 {
-			sp.Annotate("lock_wait_ns", strconv.FormatInt(lockWait, 10))
-		}
-		sp.End()
-		t.emitPhases(sp, ph.digest, mediaDelta, obj)
-	}
+	sp.End()
+	t.emitPhases(sp, ph.digest, mediaDelta, obj)
 }
 
 // emitPhases records the Table 1 cost split as three child spans of the
@@ -294,9 +284,6 @@ func (t *driveTel) emitPhases(sp *telemetry.Span, digest time.Duration, media, o
 // "drive.cache.*").
 func (d *Drive) Metrics() *telemetry.Registry { return d.tel.reg }
 
-// Trace returns the drive's bounded log of recently served requests.
-func (d *Drive) Trace() *telemetry.TraceLog { return d.tel.trace }
-
 // Spans returns the drive's span log (per-request hierarchical
 // timelines; DESIGN.md §5 "Tracing").
 func (d *Drive) Spans() *telemetry.SpanLog { return d.tel.spans }
@@ -306,14 +293,15 @@ func (d *Drive) Spans() *telemetry.SpanLog { return d.tel.spans }
 func (d *Drive) Events() *telemetry.EventLog { return d.tel.events }
 
 // StatsReply is the payload of the OpStats request: the drive's full
-// metric snapshot plus, on request, the tail of its trace log, spans
-// from its span log, and the tail of its structured event ring.
+// metric snapshot plus, on request, its most recent request (handler)
+// spans, other spans from its span log, and the tail of its structured
+// event ring.
 type StatsReply struct {
-	DriveID uint64                 `json:"drive_id"`
-	Metrics telemetry.Snapshot     `json:"metrics"`
-	Trace   []telemetry.TraceEvent `json:"trace,omitempty"`
-	Spans   []telemetry.SpanRecord `json:"spans,omitempty"`
-	Events  []telemetry.Event      `json:"events,omitempty"`
+	DriveID  uint64                 `json:"drive_id"`
+	Metrics  telemetry.Snapshot     `json:"metrics"`
+	Requests []telemetry.SpanRecord `json:"requests,omitempty"`
+	Spans    []telemetry.SpanRecord `json:"spans,omitempty"`
+	Events   []telemetry.Event      `json:"events,omitempty"`
 }
 
 // handleStats serves the drive's telemetry snapshot. Like OpFlush it
@@ -327,7 +315,7 @@ func (d *Drive) handleStats(req *rpc.Request) *rpc.Reply {
 	}
 	sr := StatsReply{DriveID: d.id, Metrics: d.tel.reg.Snapshot()}
 	if a.TraceN > 0 {
-		sr.Trace = d.tel.trace.Recent(int(a.TraceN))
+		sr.Requests = d.tel.spans.Requests(int(a.TraceN))
 	}
 	if a.SpanTrace != 0 {
 		sr.Spans = d.tel.spans.ByTrace(a.SpanTrace)

@@ -59,19 +59,6 @@ type Config struct {
 	// DefaultSegmentBlocks). It caps the largest storable record.
 	SegmentBlocks int
 
-	// CompactThreshold is the dead-byte fraction of a sealed segment
-	// that triggers background compaction. Zero means the 0.5 default;
-	// negative disables compaction entirely (tests).
-	CompactThreshold float64
-
-	// SyncCompact runs compaction inline in the mutating call that
-	// crossed the threshold instead of spawning a goroutine. The crash
-	// harness depends on it: an async compactor writes to the device at
-	// timing-dependent points, so a scheduled persist-step sweep only
-	// becomes deterministic when compaction happens at deterministic
-	// call sites.
-	SyncCompact bool
-
 	// Events, when non-nil, receives a structured event per segment
 	// compaction (how many blocks a partition's log returned).
 	Events *telemetry.EventLog
@@ -106,9 +93,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.SegmentBlocks <= 0 {
 		cfg.SegmentBlocks = DefaultSegmentBlocks
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = 0.5
 	}
 	e := &Engine{
 		cfg:  cfg,
@@ -736,12 +720,13 @@ func (e *Engine) LogBlocks(part uint16) ([]int64, error) {
 
 // --- Compaction ----------------------------------------------------------
 
+// compactThreshold is the dead-byte fraction of a sealed segment that
+// triggers background compaction.
+const compactThreshold = 0.5
+
 // maybeCompact kicks the background compactor if any sealed segment
 // crossed the dead-byte threshold. At most one compactor runs per log.
 func (e *Engine) maybeCompact(l *Log) {
-	if e.cfg.CompactThreshold <= 0 {
-		return
-	}
 	l.mu.RLock()
 	hot := l.compactCandidateLocked() != nil
 	l.mu.RUnlock()
@@ -749,10 +734,6 @@ func (e *Engine) maybeCompact(l *Log) {
 		return
 	}
 	if !l.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	if e.cfg.SyncCompact {
-		e.compactLoop(l)
 		return
 	}
 	go e.compactLoop(l)
@@ -764,7 +745,7 @@ func (l *Log) compactCandidateLocked() *segment {
 			continue
 		}
 		dead := s.written - s.live
-		if float64(dead) >= l.e.cfg.CompactThreshold*float64(s.written) {
+		if float64(dead) >= compactThreshold*float64(s.written) {
 			return s
 		}
 	}
@@ -797,10 +778,17 @@ func (e *Engine) compactLoop(l *Log) {
 }
 
 // compactSegmentLocked copies src's live records and tombstones to the
-// log tail (preserving their LSNs, so recovery ordering is unchanged),
-// syncs the tail, then frees src. A crash mid-way leaves duplicate
-// records, which LSN-merge recovery resolves; quota is only settled
-// once src's blocks are actually returned.
+// log tail (preserving their LSNs, so recovery ordering is unchanged)
+// and then drops src, in this write order:
+//
+//	copy → sync tail → device flush → segment-table commit → free src
+//
+// The log is the truth: src may leave the durable segment table only
+// once its copies are durable, and the flush is that barrier — a
+// device's volatile cache may destage the table before the copies. A
+// crash before the commit leaves duplicate records, which LSN-merge
+// recovery resolves; quota is only settled once src's blocks are
+// actually returned.
 func (l *Log) compactSegmentLocked(src *segment) error {
 	raw, err := l.readSegDeviceLocked(src, src.written)
 	if err != nil {
@@ -834,15 +822,21 @@ func (l *Log) compactSegmentLocked(src *segment) error {
 	if err := l.syncTailLocked(); err != nil {
 		return err
 	}
-	for _, b := range src.blocks {
-		_ = l.e.cfg.Space.FreeBlock(b)
+	if err := l.e.cfg.Dev.Flush(); err != nil {
+		return err
 	}
-	l.e.cfg.Quota.SettleBlocks(l.part, -int64(len(src.blocks)))
 	for i, s := range l.segs {
 		if s == src {
 			l.segs = append(l.segs[:i], l.segs[i+1:]...)
 			break
 		}
 	}
-	return l.saveSegmentsLocked()
+	if err := l.saveSegmentsLocked(); err != nil {
+		return err
+	}
+	for _, b := range src.blocks {
+		_ = l.e.cfg.Space.FreeBlock(b)
+	}
+	l.e.cfg.Quota.SettleBlocks(l.part, -int64(len(src.blocks)))
+	return nil
 }

@@ -127,31 +127,28 @@ func newRig(t *testing.T) *testRig {
 
 // engine builds a fresh Engine over the rig's (persistent) substrate —
 // calling it twice models a restart.
-func (r *testRig) engine(threshold float64) *Engine {
+func (r *testRig) engine() *Engine {
 	return New(Config{
-		Dev:              r.dev,
-		Space:            &testSpace{next: 0, max: 4096},
-		Meta:             r.meta,
-		Quota:            r.quota,
-		Metrics:          r.reg,
-		SegmentBlocks:    8, // 4 KiB segments: rolls and compaction happen fast
-		CompactThreshold: threshold,
+		Dev:           r.dev,
+		Space:         &testSpace{next: 0, max: 4096},
+		Meta:          r.meta,
+		Quota:         r.quota,
+		Metrics:       r.reg,
+		SegmentBlocks: 8, // 4 KiB segments: rolls and compaction happen fast
 	})
 }
 
-// reopenedSpace gives a restarted engine an allocator that does not
-// re-hand-out blocks the previous incarnation placed segments in.
-func (r *testRig) engineAfterRestart(threshold float64, highWater int64) *Engine {
-	e := New(Config{
-		Dev:              r.dev,
-		Space:            &testSpace{next: highWater, max: 4096},
-		Meta:             r.meta,
-		Quota:            r.quota,
-		Metrics:          r.reg,
-		SegmentBlocks:    8,
-		CompactThreshold: threshold,
+// engineAfterRestart gives a restarted engine an allocator that does
+// not re-hand-out blocks the previous incarnation placed segments in.
+func (r *testRig) engineAfterRestart(highWater int64) *Engine {
+	return New(Config{
+		Dev:           r.dev,
+		Space:         &testSpace{next: highWater, max: 4096},
+		Meta:          r.meta,
+		Quota:         r.quota,
+		Metrics:       r.reg,
+		SegmentBlocks: 8,
 	})
-	return e
 }
 
 const tpart = 1
@@ -166,7 +163,7 @@ func pay(obj uint64, n int) []byte {
 
 func TestCRUD(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(-1) // compaction off: this test is about the data path
+	e := r.engine()
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestCRUD(t *testing.T) {
 // forward), and with no snapshot at all (full log scan).
 func TestRecovery(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(-1)
+	e := r.engine()
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +335,7 @@ func TestRecovery(t *testing.T) {
 	}
 
 	t.Run("stale-snapshot", func(t *testing.T) {
-		e2 := r.engineAfterRestart(-1, 4096)
+		e2 := r.engineAfterRestart(4096)
 		st, err := e2.OpenLog(tpart)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +346,7 @@ func TestRecovery(t *testing.T) {
 		if err := r.meta.SaveIndex(tpart, nil); err != nil {
 			t.Fatal(err)
 		}
-		e2 := r.engineAfterRestart(-1, 4096)
+		e2 := r.engineAfterRestart(4096)
 		st, err := e2.OpenLog(tpart)
 		if err != nil {
 			t.Fatal(err)
@@ -357,14 +354,14 @@ func TestRecovery(t *testing.T) {
 		check(t, e2, st)
 	})
 	t.Run("fresh-snapshot", func(t *testing.T) {
-		e2 := r.engineAfterRestart(-1, 4096)
+		e2 := r.engineAfterRestart(4096)
 		if _, err := e2.OpenLog(tpart); err != nil {
 			t.Fatal(err)
 		}
 		if err := e2.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		e3 := r.engineAfterRestart(-1, 4096)
+		e3 := r.engineAfterRestart(4096)
 		st, err := e3.OpenLog(tpart)
 		if err != nil {
 			t.Fatal(err)
@@ -379,7 +376,7 @@ func TestRecovery(t *testing.T) {
 // a post-compaction restart (including a full-scan one) agrees.
 func TestCompaction(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(0.5)
+	e := r.engine()
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +442,7 @@ func TestCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		e2 := r.engineAfterRestart(0.5, 4096)
+		e2 := r.engineAfterRestart(4096)
 		st, err := e2.OpenLog(tpart)
 		if err != nil {
 			t.Fatalf("wipe=%v: %v", wipe, err)
@@ -468,11 +465,78 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionSurvivesCrash is the regression test for compaction's
+// flush barrier. A cold object's only durable record sits in a segment
+// that compaction copies forward and drops; on a device with a volatile
+// write cache, the segment table must not lose that segment before the
+// copy is on stable storage, or a power cut loses a flushed object.
+func TestCompactionSurvivesCrash(t *testing.T) {
+	r := newRig(t)
+	inner := r.dev
+	disk := blockdev.NewCrashDisk(inner, 1)
+	r.dev = disk
+	e := r.engine()
+	if err := e.CreateLog(tpart); err != nil {
+		t.Fatal(err)
+	}
+	const cold, hot = 16, 8
+	for obj := uint64(cold); obj <= cold+hot; obj++ {
+		if err := e.Create(tpart, obj, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Write(tpart, cold, 0, pay(cold, 300), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := e.getLog(tpart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSeg := func() *segment {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return l.index[cold].seg
+	}
+	first := coldSeg()
+	// Overwrite the hot objects until the compactor has moved the cold
+	// record out of its original segment. Nothing flushes the device in
+	// between, so only compaction's own barrier can make the copy durable.
+	for i := 0; coldSeg() == first; i++ {
+		if i == 4000 {
+			t.Fatal("the cold object's segment was never compacted")
+		}
+		obj := uint64(cold + 1 + i%hot)
+		if err := e.Write(tpart, obj, 0, pay(uint64(i), 180), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			time.Sleep(time.Millisecond) // let the compactor run
+		}
+	}
+	disk.Crash()
+
+	r.dev = inner
+	e2 := r.engineAfterRestart(4096)
+	if _, err := e2.OpenLog(tpart); err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	got, err := e2.Read(tpart, cold, 0, 1024)
+	if err != nil {
+		t.Fatalf("flushed cold object lost across compaction + crash: %v", err)
+	}
+	if !bytes.Equal(got, pay(cold, 300)) {
+		t.Fatal("flushed cold object corrupted across compaction + crash")
+	}
+}
+
 // TestConcurrentReadersAndWriters runs readers against a writer and the
 // background compactor — the -race harness for the log's locking.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(0.5)
+	e := r.engine()
 	if err := e.CreateLog(tpart); err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,11 @@ import (
 
 // Request IDs give every client-initiated operation an identity that
 // survives the trip across the RPC plane: the client stamps the ID into
-// the wire request (rpc.Request.Trace), the drive records it in its
-// trace log, and a multi-drive operation (a cheops striped read) shares
-// one ID across every component request it fans out. Like span IDs,
-// they are a counter salted with a random per-process high word: a
-// drive outlives many short-lived clients (think repeated nasdctl
+// the wire request (rpc.Request.Trace), the drive's handler span takes
+// it as its trace ID, and a multi-drive operation (a cheops striped
+// read) shares one ID across every component request it fans out. Like
+// span IDs, they are a counter salted with a random per-process high
+// word: a drive outlives many short-lived clients (think repeated nasdctl
 // invocations), and since request IDs double as trace IDs, two clients
 // both counting from 1 would interleave unrelated operations into one
 // trace on the drive.

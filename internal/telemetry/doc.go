@@ -1,7 +1,7 @@
 // Package telemetry is the repository's observability core: a
 // dependency-free metrics library (atomic counters, gauges, and
 // fixed-bucket latency histograms with snapshot and merge), request-ID
-// propagation through context.Context, a bounded in-memory trace log,
+// propagation through context.Context, a bounded in-memory span log,
 // and HTTP handlers that expose a registry as expvar-style JSON.
 //
 // The paper's evaluation is built on exactly this kind of per-operation

@@ -4,16 +4,18 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Spans are the hierarchical successor to the flat TraceEvent path: one
-// logical operation (a striped read, say) is a *trace*, identified by a
-// trace ID, and every timed step inside it — the client call, each
-// cheops fan-out leg, the drive-side handler with its Table 1 phase
-// split, each media I/O — is a *span* carrying its parent's span ID.
+// Spans are the package's request tracing: one logical operation (a
+// striped read, say) is a *trace*, identified by a trace ID, and every
+// timed step inside it — the client call, each cheops fan-out leg, the
+// drive-side handler with its Table 1 phase split, each media I/O — is
+// a *span* carrying its parent's span ID.
 // Merging the span logs of every process that served a trace
 // reconstructs the whole causal timeline (the Dapper/X-Trace model),
 // which is what `nasdctl trace <id>` prints.
@@ -84,6 +86,16 @@ type SpanRecord struct {
 
 // Dur returns the span duration.
 func (r *SpanRecord) Dur() time.Duration { return time.Duration(r.EndNS - r.StartNS) }
+
+// Note returns the value of the span's annotation key ("" if absent).
+func (r *SpanRecord) Note(key string) string {
+	for _, a := range r.Annotations {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
 
 // Span is an open span being timed. A nil *Span is valid and records
 // nothing, so call sites can instrument unconditionally. Annotate and
@@ -237,6 +249,32 @@ func (l *SpanLog) Recent(n int) []SpanRecord {
 	for i := 0; i < n; i++ {
 		out = append(out, l.spans[(start+i)%len(l.spans)])
 	}
+	return out
+}
+
+// RequestSpanPrefix begins the name of the drive-side handler span,
+// "drive.<op>", that a drive opens for every request it serves and
+// annotates with status, bytes_in and bytes_out. Those spans are the
+// drive's request log.
+const RequestSpanPrefix = "drive."
+
+// Requests returns up to n most recent request spans (see
+// RequestSpanPrefix), oldest first.
+func (l *SpanLog) Requests(n int) []SpanRecord {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	size := l.next
+	if l.filled {
+		size = len(l.spans)
+	}
+	var out []SpanRecord
+	for i := 1; i <= size && len(out) < n; i++ {
+		r := l.spans[(l.next-i+len(l.spans))%len(l.spans)]
+		if strings.HasPrefix(r.Name, RequestSpanPrefix) {
+			out = append(out, r)
+		}
+	}
+	slices.Reverse(out)
 	return out
 }
 

@@ -241,16 +241,20 @@ func TestWriteTimelineOrphanPromotion(t *testing.T) {
 	}
 }
 
-func TestTraceLogConcurrentAddRecent(t *testing.T) {
-	log := NewTraceLog(32)
+func TestSpanLogConcurrentEmitRequests(t *testing.T) {
+	log := NewSpanLog(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				log.Add(TraceEvent{RequestID: uint64(g*1000 + i), Op: "read"})
-				log.Recent(8)
+				log.Emit(SpanRecord{TraceID: uint64(g*1000 + i), Name: "drive.read"})
+				log.Emit(SpanRecord{TraceID: uint64(g*1000 + i), Name: "media"})
+				if got := log.Requests(8); len(got) > 8 {
+					t.Errorf("Requests(8) returned %d spans", len(got))
+					return
+				}
 			}
 		}(g)
 	}
@@ -258,12 +262,11 @@ func TestTraceLogConcurrentAddRecent(t *testing.T) {
 }
 
 func TestTraceHandlerBoundsResponse(t *testing.T) {
-	log := NewTraceLog(4096)
+	spans := NewSpanLog(4096)
 	for i := 0; i < 4096; i++ {
-		log.Add(TraceEvent{RequestID: uint64(i)})
+		spans.Emit(SpanRecord{TraceID: uint64(i + 1), Name: "drive.read"})
 	}
-	spans := NewSpanLog(8)
-	srv := httptest.NewServer(TraceHandler(log, spans))
+	srv := httptest.NewServer(TraceHandler(spans))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/trace?n=1000000")
@@ -271,22 +274,24 @@ func TestTraceHandlerBoundsResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var evs []TraceEvent
-	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
+	var recs []SpanRecord
+	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) > MaxTraceResponse {
-		t.Fatalf("handler returned %d events, cap is %d", len(evs), MaxTraceResponse)
+	if len(recs) != MaxTraceResponse {
+		t.Fatalf("handler returned %d request spans, cap is %d", len(recs), MaxTraceResponse)
+	}
+	if last := recs[len(recs)-1].TraceID; last != 4096 {
+		t.Fatalf("newest request span has trace %d, want 4096", last)
 	}
 }
 
 func TestTraceHandlerSpanMode(t *testing.T) {
-	log := NewTraceLog(4)
 	spans := NewSpanLog(8)
 	_, sp := spans.StartSpan(context.Background(), "op")
 	tid := sp.Context().TraceID
 	sp.End()
-	srv := httptest.NewServer(TraceHandler(log, spans))
+	srv := httptest.NewServer(TraceHandler(spans))
 	defer srv.Close()
 
 	resp, err := http.Get(fmt.Sprintf("%s/trace?trace=%d", srv.URL, tid))

@@ -140,7 +140,7 @@ func TestMetricsHandlerRoundTrip(t *testing.T) {
 	r.Counter("rpc.server.requests").Add(17)
 	r.Histogram("drive.op.read.svc_ns").Observe(1234)
 
-	srv := httptest.NewServer(NewMux(r.Snapshot, NewTraceLog(4), NewSpanLog(4), NewEventLog(4)))
+	srv := httptest.NewServer(NewMux(r.Snapshot, NewSpanLog(4), NewEventLog(4)))
 	defer srv.Close()
 
 	res, err := srv.Client().Get(srv.URL + "/metrics")
@@ -228,22 +228,26 @@ func TestRequestIDContext(t *testing.T) {
 	}
 }
 
-func TestTraceLogRing(t *testing.T) {
-	log := NewTraceLog(4)
+func TestSpanLogRequests(t *testing.T) {
+	log := NewSpanLog(8)
 	for i := 1; i <= 6; i++ {
-		log.Add(TraceEvent{RequestID: uint64(i)})
+		log.Emit(SpanRecord{TraceID: uint64(i), Name: "drive.write"})
+		log.Emit(SpanRecord{TraceID: uint64(i), Name: "digest"})
 	}
-	got := log.Recent(10)
+	got := log.Requests(10)
 	if len(got) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(got))
+		t.Fatalf("ring kept %d request spans, want 4", len(got))
 	}
-	// Oldest first, bounded by capacity: 3,4,5,6.
-	for i, ev := range got {
-		if want := uint64(i + 3); ev.RequestID != want {
-			t.Fatalf("event %d has ID %d, want %d", i, ev.RequestID, want)
+	// Oldest first, bounded by capacity, phase spans skipped: 3,4,5,6.
+	for i, r := range got {
+		if want := uint64(i + 3); r.TraceID != want || r.Name != "drive.write" {
+			t.Fatalf("request %d is %s of trace %d, want drive.write of %d", i, r.Name, r.TraceID, want)
 		}
 	}
-	if n := len(log.Recent(2)); n != 2 {
-		t.Fatalf("Recent(2) returned %d", n)
+	if got := log.Requests(2); len(got) != 2 || got[1].TraceID != 6 {
+		t.Fatalf("Requests(2) = %+v, want the two newest", got)
+	}
+	if n := len(log.Requests(0)); n != 0 {
+		t.Fatalf("Requests(0) returned %d", n)
 	}
 }

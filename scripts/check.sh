@@ -32,14 +32,17 @@ go test -race \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
-# name — journal framing/commit/replay, CrashDisk semantics, and a
-# short-mode crash sweep — so a recovery regression is called out
-# explicitly. The full 1000+-point sweep runs in the suite above and,
-# with -v, in CI's dedicated crash-sweep job.
+# name — journal framing/commit/replay, CrashDisk semantics, the needle
+# compaction barrier (TestCompactionSurvivesCrash), and a short-mode
+# crash sweep — so a recovery regression is called out explicitly. The
+# sweep runs the shipping configuration with background compaction, so
+# one run samples one set of goroutine interleavings; the full
+# 1000+-point sweep runs in the suite above and, three times under
+# -race with -v, in CI's dedicated crash-sweep job.
 echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' (crash-consistency focus)"
 go test -race -short \
     -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' \
-    ./internal/journal ./internal/blockdev ./internal/object
+    ./internal/journal ./internal/blockdev ./internal/needle ./internal/object
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
 # to end — the victim drive is killed mid-run (server down, volatile
