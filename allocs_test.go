@@ -1,10 +1,10 @@
 package nasd_test
 
-// Allocation regression tests for the zero-copy data path. These pin
-// the steady-state allocs/op of the two hottest paths — the codec
-// round-trip and the end-to-end cached drive read — so a change that
-// quietly reintroduces per-request copies or drops a buffer back to
-// the GC fails here, not in benchmark archaeology.
+// Allocation regression tests for the data path. These pin the
+// steady-state allocs/op of the hottest paths — the codec round-trip,
+// the end-to-end cached drive read and a drive write fragment — so a
+// change that quietly reintroduces per-request copies or drops a
+// buffer back to the GC fails here, not in benchmark archaeology.
 
 import (
 	"context"
@@ -76,5 +76,31 @@ func TestDriveCachedReadAllocs(t *testing.T) {
 	})
 	if avg > 41 {
 		t.Errorf("cached 8K drive read allocates %.1f/op, want <= 41 (half the 83 pre-pooling baseline)", avg)
+	}
+}
+
+// TestDriveWriteFragmentAllocs pins one secure 64 KB write fragment
+// through the full client→RPC→drive→object path, overwriting already
+// mapped blocks of a 4 MB object (the steady state of a bulk rewrite).
+func TestDriveWriteFragmentAllocs(t *testing.T) {
+	cli, cap, obj := driveRig(t, true)
+	data := make([]byte, 64<<10)
+	ctx := context.Background()
+	var i int
+	write := func() {
+		off := uint64(i%64) * uint64(len(data))
+		i++
+		if err := cli.Write(ctx, &cap, 1, obj, off, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 4; n++ {
+		write()
+	}
+	avg := testing.AllocsPerRun(100, write)
+	// Measured 40 at the time of writing; the bound leaves headroom for
+	// harness noise only.
+	if avg > 48 {
+		t.Errorf("secure 64K drive write fragment allocates %.1f/op, want <= 48", avg)
 	}
 }

@@ -187,7 +187,7 @@ func (fs *FS) writeRange(idx int64, o *layout.Onode, off uint64, data []byte) er
 		}
 		// First-fit allocation, no contiguity hint: classic FFS-era
 		// fragmentation behaviour.
-		phys, err := fs.lay.BMapAlloc(o, fb, 0)
+		phys, _, err := fs.lay.BMapAlloc(o, fb, 0)
 		if err != nil {
 			return err
 		}

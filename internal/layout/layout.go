@@ -845,42 +845,64 @@ func (s *Store) BMap(o *Onode, fileBlock int64) (int64, error) {
 // with a reference count above one is replaced by a private copy before
 // it can be written. The onode is updated in memory; callers persist it
 // with WriteOnode. The returned physical block is safe to overwrite.
-func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (int64, error) {
+//
+// added is the number of block references the object gained: one per
+// data or pointer block newly mapped where the object had a hole. An
+// unshared copy replaces a reference and adds none, so added > 0
+// exactly when fileBlock was a hole. On error, added still counts the
+// blocks mapped before the failure; they stay in the onode's footprint.
+func (s *Store) BMapAlloc(o *Onode, fileBlock int64, hint int64) (phys, added int64, err error) {
 	p := s.ptrsPerBlock
 	switch {
 	case fileBlock < 0:
-		return 0, fmt.Errorf("layout: negative file block %d", fileBlock)
+		return 0, 0, fmt.Errorf("layout: negative file block %d", fileBlock)
 	case fileBlock < NumDirect:
-		blk, err := s.allocOrUnshare(o.Direct[fileBlock], hint, s.dataIO)
+		cur := o.Direct[fileBlock]
+		blk, err := s.allocOrUnshare(cur, hint, s.dataIO)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		o.Direct[fileBlock] = blk
-		return blk, nil
+		return blk, newRef(cur), nil
 	case fileBlock < NumDirect+p:
+		cur := o.Indirect
 		ind, err := s.ensurePtrBlock(&o.Indirect, hint)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		return s.allocThroughPtr(ind, fileBlock-NumDirect, hint)
+		blk, n, err := s.allocThroughPtr(ind, fileBlock-NumDirect, hint)
+		return blk, newRef(cur) + n, err
 	case fileBlock < NumDirect+p+p*p:
 		rel := fileBlock - NumDirect - p
+		cur := o.Indirect2
 		ind2, err := s.ensurePtrBlock(&o.Indirect2, hint)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
+		added := newRef(cur)
 		l1, err := s.readPtr(ind2, rel/p)
 		if err != nil {
-			return 0, err
+			return 0, added, err
 		}
 		newL1, err := s.ensurePtrBlockAt(ind2, rel/p, l1, hint)
 		if err != nil {
-			return 0, err
+			return 0, added, err
 		}
-		return s.allocThroughPtr(newL1, rel%p, hint)
+		added += newRef(l1)
+		blk, n, err := s.allocThroughPtr(newL1, rel%p, hint)
+		return blk, added + n, err
 	default:
-		return 0, ErrTooBig
+		return 0, 0, ErrTooBig
 	}
+}
+
+// newRef is the number of references an object gains when a slot that
+// held cur is mapped: one for a hole, none for a block already there.
+func newRef(cur int64) int64 {
+	if cur == 0 {
+		return 1
+	}
+	return 0
 }
 
 // allocOrUnshare returns cur if it is exclusively owned, otherwise a
@@ -956,22 +978,23 @@ func (s *Store) ensurePtrBlockAt(parent int64, idx int64, cur int64, hint int64)
 }
 
 // allocThroughPtr ensures the data block at index idx of pointer block
-// ptrBlk exists and is exclusively owned.
-func (s *Store) allocThroughPtr(ptrBlk int64, idx int64, hint int64) (int64, error) {
+// ptrBlk exists and is exclusively owned, and reports the references
+// gained (see BMapAlloc).
+func (s *Store) allocThroughPtr(ptrBlk int64, idx int64, hint int64) (int64, int64, error) {
 	cur, err := s.readPtr(ptrBlk, idx)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	nb, err := s.allocOrUnshare(cur, hint, s.dataIO)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if nb != cur {
 		if err := s.writePtr(ptrBlk, idx, nb); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return nb, nil
+	return nb, newRef(cur), nil
 }
 
 // UnmapBlock drops the mapping for an object-relative block: the data
@@ -1049,30 +1072,44 @@ func (s *Store) UnmapBlock(o *Onode, fileBlock int64) (int64, error) {
 
 func (s *Store) readPtr(blk int64, idx int64) (int64, error) {
 	var v int64
-	if s.meta.view(blk, func(b []byte) { v = int64(binary.LittleEndian.Uint64(b[idx*8:])) }) {
-		if v != 0 && (v < s.sb.DataStart || v >= s.sb.TotalBlocks) {
-			return 0, nil
-		}
+	if s.meta.view(blk, func(b []byte) { v = s.ptrAt(b, idx) }) {
 		return v, nil
 	}
 	buf := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(buf)
-	s.devReads.Add(1)
-	if err := s.dev.ReadBlock(blk, buf); err != nil {
+	if err := s.loadPtrBlock(blk, buf); err != nil {
 		return 0, err
 	}
-	s.meta.fill(blk, buf)
-	v = int64(binary.LittleEndian.Uint64(buf[idx*8:]))
-	// A legitimate pointer is zero (hole) or a data-region block. Pointer
-	// blocks are not write-ahead journaled, so after a crash one can hold
-	// stale or torn content; clamping wild values to holes here keeps
-	// every traversal (BMap, ForEachBlock, recovery verification) from
-	// wandering out of the volume. Affected objects were dirty at the
-	// crash and read zeros, which the durability contract allows.
+	return s.ptrAt(buf, idx), nil
+}
+
+// ptrAt decodes slot idx of pointer-block contents b. A legitimate
+// pointer is zero (hole) or a data-region block. Pointer blocks are not
+// write-ahead journaled, so after a crash one can hold stale or torn
+// content; clamping wild values to holes here keeps every traversal
+// (BMap, ForEachBlock, recovery verification) from wandering out of
+// the volume. Affected objects were dirty at the crash and read zeros,
+// which the durability contract allows.
+func (s *Store) ptrAt(b []byte, idx int64) int64 {
+	v := int64(binary.LittleEndian.Uint64(b[idx*8:]))
 	if v != 0 && (v < s.sb.DataStart || v >= s.sb.TotalBlocks) {
-		return 0, nil
+		return 0
 	}
-	return v, nil
+	return v
+}
+
+// loadPtrBlock copies pointer block blk into buf: from the metadata
+// cache, or from the device on a miss, which then fills the cache.
+func (s *Store) loadPtrBlock(blk int64, buf []byte) error {
+	if s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
+		return nil
+	}
+	s.devReads.Add(1)
+	if err := s.dev.ReadBlock(blk, buf); err != nil {
+		return err
+	}
+	s.meta.fill(blk, buf)
+	return nil
 }
 
 // DevReads returns the number of device reads issued for layout
@@ -1082,11 +1119,8 @@ func (s *Store) DevReads() int64 { return s.devReads.Load() }
 func (s *Store) writePtr(blk int64, idx int64, v int64) error {
 	buf := bufpool.Get(int(s.sb.BlockSize))
 	defer bufpool.Put(buf)
-	if !s.meta.view(blk, func(b []byte) { copy(buf, b) }) {
-		s.devReads.Add(1)
-		if err := s.dev.ReadBlock(blk, buf); err != nil {
-			return err
-		}
+	if err := s.loadPtrBlock(blk, buf); err != nil {
+		return err
 	}
 	binary.LittleEndian.PutUint64(buf[idx*8:], uint64(v))
 	if err := s.dev.WriteBlock(blk, buf); err != nil {
@@ -1100,7 +1134,11 @@ func (s *Store) writePtr(blk int64, idx int64, v int64) error {
 
 // ForEachBlock calls fn for every physical block reachable from o,
 // including indirect blocks themselves (kind "data" or "ptr"). It is
-// the traversal used to free or clone an object.
+// the traversal used to free, clone or measure an object. Each pointer
+// block is copied out once and its slots decoded locally, so a walk
+// costs one metadata-cache lookup (or device read) per pointer block,
+// not one per slot. A pointer block is read before fn sees it, so fn
+// may drop its reference.
 func (s *Store) ForEachBlock(o *Onode, fn func(phys int64, isPtr bool) error) error {
 	for _, b := range o.Direct {
 		if b != 0 {
@@ -1109,48 +1147,51 @@ func (s *Store) ForEachBlock(o *Onode, fn func(phys int64, isPtr bool) error) er
 			}
 		}
 	}
-	p := s.ptrsPerBlock
+	if o.Indirect == 0 && o.Indirect2 == 0 {
+		return nil
+	}
+	bs := int(s.sb.BlockSize)
+	top := bufpool.Get(bs)
+	defer bufpool.Put(top)
 	if o.Indirect != 0 {
-		if err := fn(o.Indirect, true); err != nil {
+		if err := s.forEachPtrSlot(o.Indirect, top, fn); err != nil {
 			return err
 		}
-		for i := int64(0); i < p; i++ {
-			b, err := s.readPtr(o.Indirect, i)
-			if err != nil {
+	}
+	if o.Indirect2 == 0 {
+		return nil
+	}
+	if err := s.loadPtrBlock(o.Indirect2, top); err != nil {
+		return err
+	}
+	if err := fn(o.Indirect2, true); err != nil {
+		return err
+	}
+	leaf := bufpool.Get(bs)
+	defer bufpool.Put(leaf)
+	for i := int64(0); i < s.ptrsPerBlock; i++ {
+		if l1 := s.ptrAt(top, i); l1 != 0 {
+			if err := s.forEachPtrSlot(l1, leaf, fn); err != nil {
 				return err
-			}
-			if b != 0 {
-				if err := fn(b, false); err != nil {
-					return err
-				}
 			}
 		}
 	}
-	if o.Indirect2 != 0 {
-		if err := fn(o.Indirect2, true); err != nil {
-			return err
-		}
-		for i := int64(0); i < p; i++ {
-			l1, err := s.readPtr(o.Indirect2, i)
-			if err != nil {
+	return nil
+}
+
+// forEachPtrSlot loads pointer block blk into buf, reports blk itself
+// to fn as a pointer block, then every mapped slot as a data block.
+func (s *Store) forEachPtrSlot(blk int64, buf []byte, fn func(phys int64, isPtr bool) error) error {
+	if err := s.loadPtrBlock(blk, buf); err != nil {
+		return err
+	}
+	if err := fn(blk, true); err != nil {
+		return err
+	}
+	for i := int64(0); i < s.ptrsPerBlock; i++ {
+		if b := s.ptrAt(buf, i); b != 0 {
+			if err := fn(b, false); err != nil {
 				return err
-			}
-			if l1 == 0 {
-				continue
-			}
-			if err := fn(l1, true); err != nil {
-				return err
-			}
-			for j := int64(0); j < p; j++ {
-				b, err := s.readPtr(l1, j)
-				if err != nil {
-					return err
-				}
-				if b != 0 {
-					if err := fn(b, false); err != nil {
-						return err
-					}
-				}
 			}
 		}
 	}

@@ -218,7 +218,7 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 	p := s.ptrsPerBlock
 
 	// Direct.
-	b0, err := s.BMapAlloc(&o, 0, 0)
+	b0, _, err := s.BMapAlloc(&o, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 		t.Fatalf("direct bmap = %d want %d", got, b0)
 	}
 	// Single indirect.
-	bi, err := s.BMapAlloc(&o, NumDirect+5, 0)
+	bi, _, err := s.BMapAlloc(&o, NumDirect+5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 	}
 	// Double indirect.
 	fb := NumDirect + p + 3*p + 7
-	bd, err := s.BMapAlloc(&o, fb, 0)
+	bd, _, err := s.BMapAlloc(&o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +247,89 @@ func TestBMapDirectIndirectDouble(t *testing.T) {
 	}
 	if got, _ := s.BMap(&o, fb); got != bd {
 		t.Fatalf("double indirect bmap = %d want %d", got, bd)
+	}
+}
+
+// TestBMapAllocAddedMatchesFootprint checks BMapAlloc's reference
+// count against a ForEachBlock recount in every block-map region:
+// holes add the data block plus each pointer block created on the way,
+// overwrites and copy-on-write unshares add nothing.
+func TestBMapAllocAddedMatchesFootprint(t *testing.T) {
+	s, _ := newStore(t, 4096)
+	p := s.ptrsPerBlock
+	footprint := func(o *Onode) int64 {
+		var n int64
+		if err := s.ForEachBlock(o, func(int64, bool) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	alloc := func(o *Onode, fb, want int64) {
+		t.Helper()
+		before := footprint(o)
+		_, added, err := s.BMapAlloc(o, fb, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added != want {
+			t.Fatalf("block %d: added = %d, want %d", fb, added, want)
+		}
+		if got := footprint(o) - before; got != added {
+			t.Fatalf("block %d: footprint grew by %d, BMapAlloc reported %d", fb, got, added)
+		}
+	}
+	var o Onode
+	alloc(&o, 0, 1)               // direct hole
+	alloc(&o, 0, 0)               // direct overwrite
+	alloc(&o, NumDirect, 2)       // single indirect block + data
+	alloc(&o, NumDirect+1, 1)     // data under the existing indirect
+	alloc(&o, NumDirect+p, 3)     // double indirect + L1 + data
+	alloc(&o, NumDirect+p+1, 1)   // data under the existing L1
+	alloc(&o, NumDirect+p+p+5, 2) // second L1 + data
+	alloc(&o, NumDirect+p+1, 0)   // overwrite under double indirect
+
+	// A copy-on-write clone shares every block; unsharing a data block
+	// (and the pointer blocks above it) replaces references one for one.
+	if err := s.CloneOnodeBlocks(&o); err != nil {
+		t.Fatal(err)
+	}
+	clone := o
+	alloc(&clone, 0, 0)
+	alloc(&clone, NumDirect+1, 0)
+	alloc(&clone, NumDirect+p+p+5, 0)
+	alloc(&clone, NumDirect+p+2*p, 2) // hole under the unshared double indirect
+	alloc(&clone, 7, 1)
+}
+
+// TestForEachBlockClampsWildPointers: a pointer slot outside the data
+// region (torn or stale pointer-block content after a crash) reads as a
+// hole in the block-at-a-time walk, as it does through BMap.
+func TestForEachBlockClampsWildPointers(t *testing.T) {
+	s, _ := newStore(t, 4096)
+	var o Onode
+	want, _, err := s.BMapAlloc(&o, NumDirect, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wild := range []int64{1, s.sb.TotalBlocks, 1 << 40} {
+		if err := s.writePtr(o.Indirect, int64(i+1), wild); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var data []int64
+	if err := s.ForEachBlock(&o, func(phys int64, isPtr bool) error {
+		if !isPtr {
+			data = append(data, phys)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 1 || data[0] != want {
+		t.Fatalf("walk saw data blocks %v, want [%d]", data, want)
+	}
+	if got, _ := s.BMap(&o, NumDirect+1); got != 0 {
+		t.Fatalf("BMap of a wild slot = %d, want a hole", got)
 	}
 }
 
@@ -273,7 +356,7 @@ func TestBMapTooBig(t *testing.T) {
 	if _, err := s.BMap(&o, huge); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized bmap: %v", err)
 	}
-	if _, err := s.BMapAlloc(&o, huge, 0); !errors.Is(err, ErrTooBig) {
+	if _, _, err := s.BMapAlloc(&o, huge, 0); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized bmap alloc: %v", err)
 	}
 }
@@ -284,7 +367,7 @@ func TestCloneAndCOW(t *testing.T) {
 	orig.ObjectID = 1
 
 	// Write identifiable data to a direct and an indirect block.
-	blkA, err := s.BMapAlloc(&orig, 0, 0)
+	blkA, _, err := s.BMapAlloc(&orig, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +375,7 @@ func TestCloneAndCOW(t *testing.T) {
 	if err := s.WriteDataBlock(blkA, dataA); err != nil {
 		t.Fatal(err)
 	}
-	blkB, err := s.BMapAlloc(&orig, NumDirect+2, 0)
+	blkB, _, err := s.BMapAlloc(&orig, NumDirect+2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +396,7 @@ func TestCloneAndCOW(t *testing.T) {
 	}
 
 	// Writing through the clone must not disturb the original.
-	nb, err := s.BMapAlloc(&clone, 0, 0)
+	nb, _, err := s.BMapAlloc(&clone, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +421,7 @@ func TestCloneAndCOW(t *testing.T) {
 	// COW through the indirect path: the indirect block itself must be
 	// copied before the clone's pointer is updated.
 	origInd := orig.Indirect
-	nbi, err := s.BMapAlloc(&clone, NumDirect+2, 0)
+	nbi, _, err := s.BMapAlloc(&clone, NumDirect+2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +441,7 @@ func TestFreeObjectBlocks(t *testing.T) {
 	s, _ := newStore(t, 4096)
 	var o Onode
 	for _, fb := range []int64{0, 5, NumDirect + 1, NumDirect + s.ptrsPerBlock + 10} {
-		if _, err := s.BMapAlloc(&o, fb, 0); err != nil {
+		if _, _, err := s.BMapAlloc(&o, fb, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,7 +464,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	idx, _ := s.AllocOnode()
 	o := Onode{ObjectID: 99, Partition: 2, Size: 8192}
-	blk, err := s.BMapAlloc(&o, 0, 0)
+	blk, _, err := s.BMapAlloc(&o, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 func TestUnmapDirectBlock(t *testing.T) {
 	s, _ := newStore(t, 1024)
 	var o Onode
-	blk, err := s.BMapAlloc(&o, 3, 0)
+	blk, _, err := s.BMapAlloc(&o, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestUnmapIndirectBlock(t *testing.T) {
 	s, _ := newStore(t, 2048)
 	var o Onode
 	fb := int64(NumDirect + 7)
-	blk, err := s.BMapAlloc(&o, fb, 0)
+	blk, _, err := s.BMapAlloc(&o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestUnmapDoubleIndirect(t *testing.T) {
 	s, _ := newStore(t, 4096)
 	var o Onode
 	fb := NumDirect + s.ptrsPerBlock + 2*s.ptrsPerBlock + 3
-	blk, err := s.BMapAlloc(&o, fb, 0)
+	blk, _, err := s.BMapAlloc(&o, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestUnmapSharedDoesNotDisturbClone(t *testing.T) {
 	s, _ := newStore(t, 2048)
 	var orig Onode
 	fb := int64(NumDirect + 4)
-	blk, err := s.BMapAlloc(&orig, fb, 0)
+	blk, _, err := s.BMapAlloc(&orig, fb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,45 @@ func (c *classicBackend) footprint(o *layout.Onode) int64 {
 	return n
 }
 
-// chargeOf is what quotas charge for an object: its footprint or its
-// capacity reservation (Prealloc), whichever is larger. Reserved space
+// classicCharge is the quota rule for a classic object: its footprint
+// (block references, data plus indirect) or its capacity reservation
+// (Prealloc bytes in blocks of bs), whichever is larger. Reserved space
 // is charged up front so preallocated writes can never fail on quota.
-func (c *classicBackend) chargeOf(o *layout.Onode) int64 {
-	fp := c.footprint(o)
-	bs := uint64(c.lay.BlockSize())
-	res := int64((o.Prealloc + bs - 1) / bs)
-	if res > fp {
+// The live accounting and the mount-time census both apply it.
+func classicCharge(footprint int64, prealloc uint64, bs int64) int64 {
+	if res := int64((prealloc + uint64(bs) - 1) / uint64(bs)); res > footprint {
 		return res
 	}
-	return fp
+	return footprint
+}
+
+// chargeOf is what quotas charge for an object, from a walk of its
+// block map.
+func (c *classicBackend) chargeOf(o *layout.Onode) int64 {
+	return classicCharge(c.footprint(o), o.Prealloc, c.lay.BlockSize())
+}
+
+// chargeBase returns o's footprint where the charge rule needs it to
+// price a change (see chargeDelta), and 0 without walking elsewhere.
+func (c *classicBackend) chargeBase(o *layout.Onode) int64 {
+	if o.Prealloc == 0 {
+		return 0
+	}
+	return c.footprint(o)
+}
+
+// chargeDelta is the change in o's charge when its footprint moves by
+// delta references from base (chargeBase's result). Without a capacity
+// reservation the charge is the footprint, so the change is delta
+// itself; only under one does it depend on where the footprint stands.
+// Mutators price their effect this way from the references they added
+// or dropped, instead of walking the object before and after.
+func (c *classicBackend) chargeDelta(o *layout.Onode, base, delta int64) int64 {
+	if o.Prealloc == 0 {
+		return delta
+	}
+	bs := c.lay.BlockSize()
+	return classicCharge(base+delta, o.Prealloc, bs) - classicCharge(base, o.Prealloc, bs)
 }
 
 // Charge implements StoreBackend.
@@ -104,14 +132,12 @@ func (c *classicBackend) Charge(part uint16, obj uint64) (int64, error) {
 // refunding the partition. Caller holds the object's exclusive lock and
 // persists the onode.
 func (c *classicBackend) reserve(o *layout.Onode, prealloc uint64) error {
-	before := c.chargeOf(o)
-	old := o.Prealloc
-	o.Prealloc = prealloc
-	delta := c.chargeOf(o) - before
+	fp, bs := c.footprint(o), c.lay.BlockSize()
+	delta := classicCharge(fp, prealloc, bs) - classicCharge(fp, o.Prealloc, bs)
 	if err := c.quota.chargeBlocks(o.Partition, delta); err != nil {
-		o.Prealloc = old
 		return err
 	}
+	o.Prealloc = prealloc
 	return nil
 }
 
@@ -169,10 +195,12 @@ func (c *classicBackend) Remove(part uint16, obj uint64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	charge := c.chargeOf(&o)
 	// Invalidate cache entries for blocks about to become free so a
-	// later reallocation cannot observe stale contents.
+	// later reallocation cannot observe stale contents; the same walk
+	// measures the footprint the charge is priced from.
+	var fp int64
 	if err := c.lay.ForEachBlock(&o, func(phys int64, isPtr bool) error {
+		fp++
 		if !isPtr && c.lay.RefCount(phys) == 1 {
 			c.cache.Invalidate(phys)
 		}
@@ -180,6 +208,7 @@ func (c *classicBackend) Remove(part uint16, obj uint64) (int64, error) {
 	}); err != nil {
 		return 0, err
 	}
+	charge := classicCharge(fp, o.Prealloc, c.lay.BlockSize())
 	if err := c.lay.FreeObjectBlocks(&o); err != nil {
 		return 0, err
 	}
@@ -262,7 +291,8 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 	if newSize > c.lay.MaxObjectSize() {
 		return layout.ErrTooBig
 	}
-	before := c.chargeOf(o)
+	base := c.chargeBase(o)
+	var delta int64 // references gained, net of those dropped
 	if newSize < o.Size {
 		first := (newSize + bs - 1) / bs // first block to drop
 		last := (o.Size + bs - 1) / bs
@@ -274,8 +304,12 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 			if phys != 0 && c.lay.RefCount(phys) == 1 {
 				c.cache.Invalidate(phys)
 			}
-			if _, err := c.lay.UnmapBlock(o, int64(fb)); err != nil {
+			cur, err := c.lay.UnmapBlock(o, int64(fb))
+			if err != nil {
 				return err
+			}
+			if cur != 0 {
+				delta--
 			}
 		}
 		// Zero the tail of the new last block so growth re-reads zeros.
@@ -293,7 +327,8 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 					buf[i] = 0
 				}
 				// Shared blocks must be unshared before zeroing.
-				np, err := c.lay.BMapAlloc(o, int64(newSize/bs), phys)
+				np, n, err := c.lay.BMapAlloc(o, int64(newSize/bs), phys)
+				delta += n
 				if err != nil {
 					return err
 				}
@@ -304,7 +339,7 @@ func (c *classicBackend) truncate(o *layout.Onode, newSize uint64) error {
 		}
 	}
 	o.Size = newSize
-	c.quota.settleBlocks(o.Partition, c.chargeOf(o)-before)
+	c.quota.settleBlocks(o.Partition, c.chargeDelta(o, base, delta))
 	return nil
 }
 
@@ -393,7 +428,9 @@ func (c *classicBackend) readahead(seq *SeqTracker, o *layout.Onode, off, n uint
 // Write implements StoreBackend. Writes are write-behind unless the
 // store was configured write-through. Quota admission reserves
 // worst-case blocks up front so concurrent writers cannot jointly
-// overshoot a partition quota.
+// overshoot a partition quota, and the reservation is settled from the
+// references the write actually added, so the metadata work of a write
+// is proportional to the write, not to the object.
 func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte) error {
 	idx, o, err := c.lookup(part, obj)
 	if err != nil {
@@ -404,13 +441,12 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 		return ErrBadRange
 	}
 	bs := uint64(c.lay.BlockSize())
-	chargeBefore := c.chargeOf(&o)
+	base := c.chargeBase(&o)
 
 	// Quota admission: estimate the worst-case new blocks (holes in the
 	// written range plus up to three indirect blocks), net of the
 	// object's capacity reservation, and reserve them against the
-	// partition before writing. The reservation is settled against the
-	// actual footprint afterwards.
+	// partition before writing.
 	var reserved int64
 	if c.quota.quotaed(part) {
 		var holes int64 = 3 // worst-case new indirect blocks
@@ -423,11 +459,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 				holes++
 			}
 		}
-		estChargeAfter := c.footprint(&o) + holes
-		if res := int64((o.Prealloc + bs - 1) / bs); res > estChargeAfter {
-			estChargeAfter = res
-		}
-		if need := estChargeAfter - chargeBefore; need > 0 {
+		if need := c.chargeDelta(&o, base, holes); need > 0 {
 			if err := c.quota.chargeBlocks(part, need); err != nil {
 				return err
 			}
@@ -435,7 +467,7 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 		}
 	}
 
-	werr := c.writeRange(&o, off, data)
+	added, werr := c.writeRange(&o, off, data)
 	if werr == nil {
 		if end > o.Size {
 			o.Size = end
@@ -443,8 +475,9 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 		o.ModSec = c.cfg.Clock().Unix()
 	}
 	// Settle the reservation against what the object actually grew by —
-	// also on error, since partially written blocks stay allocated.
-	c.quota.settleBlocks(part, c.chargeOf(&o)-chargeBefore-reserved)
+	// also on error, since blocks mapped before the failure stay
+	// allocated and writeRange counts them.
+	c.quota.settleBlocks(part, c.chargeDelta(&o, base, added)-reserved)
 	// Persist the onode even after a partial failure so blocks mapped
 	// before the error are not orphaned.
 	if perr := c.lay.WriteOnode(idx, &o); werr == nil {
@@ -453,16 +486,27 @@ func (c *classicBackend) Write(part uint16, obj uint64, off uint64, data []byte)
 	return werr
 }
 
-// writeRange maps and writes the block range of one write. Caller holds
-// the object's exclusive lock and persists the onode.
-func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) error {
+// writeRange maps and writes the block range of one write and returns
+// the block references the object gained (see layout.BMapAlloc), also
+// on error. Caller holds the object's exclusive lock and persists the
+// onode.
+func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) (int64, error) {
 	bs := uint64(c.lay.BlockSize())
-	// Clustering: when this object has no blocks yet and is linked to
-	// another object, allocate near it.
-	clusterHint := int64(0)
-	if o.Cluster != 0 {
-		clusterHint = c.clusterHint(o)
+	// Allocation hint: the block after the previous file block's, so an
+	// object grows contiguously. The write's first block looks its
+	// predecessor up; every later one takes it from the iteration
+	// before. A failed lookup only costs the hint — the allocation walk
+	// below reports real errors.
+	var prev int64
+	if fb := int64(off / bs); fb > 0 {
+		prev, _ = c.lay.BMap(o, fb-1)
 	}
+	// A block with no mapped predecessor is placed near the object this
+	// one is clustered with (Section 4.1). Finding that spot walks the
+	// target's block map, so it is done at most once per write and only
+	// when such a block is reached.
+	cluster, clusterKnown := int64(0), false
+	var added int64
 	var buf []byte // pooled RMW bounce buffer for partial blocks only
 	defer func() { bufpool.Put(buf) }()
 	for done := 0; done < len(data); {
@@ -473,49 +517,49 @@ func (c *classicBackend) writeRange(o *layout.Onode, off uint64, data []byte) er
 		if chunk > len(data)-done {
 			chunk = len(data) - done
 		}
-		hint := clusterHint
-		if fb > 0 {
-			if prev, err := c.lay.BMap(o, fb-1); err == nil && prev != 0 {
-				hint = prev + 1
+		hint := prev + 1
+		if prev == 0 {
+			if !clusterKnown {
+				cluster, clusterKnown = c.clusterHint(o), true
 			}
+			hint = cluster
 		}
-		prevPhys, err := c.lay.BMap(o, fb)
+		phys, n, err := c.lay.BMapAlloc(o, fb, hint)
+		added += n
 		if err != nil {
-			return err
+			return added, err
 		}
-		phys, err := c.lay.BMapAlloc(o, fb, hint)
-		if err != nil {
-			return err
-		}
+		prev = phys
 		if within == 0 && chunk == int(bs) {
 			// Full block: hand the caller's bytes straight to the cache
 			// (which copies into its own pooled entry) — no bounce copy.
 			if err := c.cache.WriteBlock(phys, data[done:done+chunk]); err != nil {
-				return err
+				return added, err
 			}
 			done += chunk
 			continue
 		}
 		// Partial block: read-modify-write. A block that was a hole
-		// before this write contains whatever a previous owner left
-		// there, so zero-fill it instead of reading.
+		// before this write (the allocation added a reference) contains
+		// whatever a previous owner left there, so zero-fill it instead
+		// of reading.
 		if buf == nil {
 			buf = bufpool.Get(int(bs))
 		}
-		if prevPhys == 0 {
+		if n > 0 {
 			for i := range buf {
 				buf[i] = 0
 			}
 		} else if err := c.cache.ReadBlock(phys, buf); err != nil {
-			return err
+			return added, err
 		}
 		copy(buf[within:], data[done:done+chunk])
 		if err := c.cache.WriteBlock(phys, buf); err != nil {
-			return err
+			return added, err
 		}
 		done += chunk
 	}
-	return nil
+	return added, nil
 }
 
 // VersionObject implements StoreBackend: it creates a copy-on-write
@@ -565,7 +609,7 @@ func (c *classicBackend) writeRaw(o *layout.Onode, data []byte) error {
 	buf := make([]byte, bs)
 	for done := 0; done < len(data); done += bs {
 		fb := int64(done / bs)
-		phys, err := c.lay.BMapAlloc(o, fb, 0)
+		phys, _, err := c.lay.BMapAlloc(o, fb, 0)
 		if err != nil {
 			return err
 		}

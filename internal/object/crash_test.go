@@ -302,7 +302,15 @@ func crashSweepSeed(t *testing.T, seed int64, tear bool, maxPoints int) int {
 			t.Fatalf("seed %d crash@%d: %v", seed, n, err)
 		}
 		// err == nil: the armed step was never reached (background work
-		// shifted the step count); the volume is then simply clean.
+		// shifted the step count). Cut the power anyway before the
+		// reopen: background needle compaction keeps running after the
+		// final flush, and a destage of its writes racing the reopen of
+		// the inner device would hand recovery a mix of states no
+		// device ever holds. Everything the final flush made durable
+		// must survive the cut.
+		if err == nil {
+			disk.Crash()
+		}
 		verifyCrashContract(t, fmt.Sprintf("seed %d crash@%d tear=%v", seed, n, tear), inner, m)
 		points++
 	}

@@ -187,7 +187,7 @@ type partCensus struct {
 // seen, and a per-partition census of object counts and quota charges.
 func (s *Store) onodeRefs() (map[int64]uint16, uint64, map[uint16]partCensus, error) {
 	lay := s.classic.lay
-	bs := uint64(lay.BlockSize())
+	bs := lay.BlockSize()
 	expected := make(map[int64]uint16)
 	census := make(map[uint16]partCensus)
 	var maxID uint64
@@ -212,13 +212,9 @@ func (s *Store) onodeRefs() (map[int64]uint16, uint64, map[uint16]partCensus, er
 			return nil, 0, nil, err
 		}
 		if o.Partition != 0 {
-			charge := footprint
-			if res := int64((o.Prealloc + bs - 1) / bs); res > charge {
-				charge = res
-			}
 			c := census[o.Partition]
 			c.objects++
-			c.charge += charge
+			c.charge += classicCharge(footprint, o.Prealloc, bs)
 			census[o.Partition] = c
 		}
 	}

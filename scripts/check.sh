@@ -33,15 +33,17 @@ go test -race \
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
 # name — journal framing/commit/replay, CrashDisk semantics, the needle
-# compaction barrier (TestCompactionSurvivesCrash), and a short-mode
+# compaction barrier (TestCompactionSurvivesCrash), the quota
+# accounting check that the live per-write settlement matches the
+# mount-time census (TestQuotaAccountingExact*), and a short-mode
 # crash sweep — so a recovery regression is called out explicitly. The
 # sweep runs the shipping configuration with background compaction, so
 # one run samples one set of goroutine interleavings; the full
 # 1000+-point sweep runs in the suite above and, three times under
 # -race with -v, in CI's dedicated crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' (crash-consistency focus)"
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit' \
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact' \
     ./internal/journal ./internal/blockdev ./internal/needle ./internal/object
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
