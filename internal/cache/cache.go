@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"nasd/internal/blockdev"
 	"nasd/internal/bufpool"
@@ -53,10 +52,9 @@ const DefaultShards = 16
 // partition locks and above the layout allocator (DESIGN.md §4): a
 // shard mutex may be taken while holding those, and never the reverse.
 type BlockCache struct {
-	dev      blockdev.Device
-	shards   []*cacheShard
-	wthrough atomic.Bool
-	meter    *telemetry.LockMeter
+	dev    blockdev.Device
+	shards []*cacheShard
+	meter  *telemetry.LockMeter
 }
 
 type cacheShard struct {
@@ -119,10 +117,6 @@ func (c *BlockCache) shardOf(block int64) *cacheShard {
 
 // Shards returns the shard count.
 func (c *BlockCache) Shards() int { return len(c.shards) }
-
-// SetWriteThrough switches the cache between write-behind (default) and
-// write-through.
-func (c *BlockCache) SetWriteThrough(on bool) { c.wthrough.Store(on) }
 
 // Capacity returns the capacity in blocks.
 func (c *BlockCache) Capacity() int {
@@ -253,12 +247,11 @@ func (c *BlockCache) ReadRange(block int64, off int, dst []byte) error {
 	return nil
 }
 
-// WriteBlock writes buf to block through the cache. In write-behind
-// mode the device is updated lazily; in write-through mode immediately.
-// The cached copy lives in pooled memory owned by the cache; buf is
-// never retained.
+// WriteBlock writes buf to block through the cache. The block is left
+// dirty and reaches the device on eviction or Flush (write-behind). The
+// cached copy lives in pooled memory owned by the cache; buf is never
+// retained.
 func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
-	wthrough := c.wthrough.Load()
 	sh := c.shardOf(block)
 	c.meter.Lock(&sh.mu)
 	defer sh.mu.Unlock()
@@ -270,18 +263,15 @@ func (c *BlockCache) WriteBlock(block int64, buf []byte) error {
 			e.data = bufpool.Get(len(buf))
 			copy(e.data, buf)
 		}
-		e.dirty = !wthrough
+		e.dirty = true
 		sh.touch(e)
 	} else {
 		data := bufpool.Get(len(buf))
 		copy(data, buf)
-		if _, err := sh.insert(c.dev, block, data, !wthrough); err != nil {
+		if _, err := sh.insert(c.dev, block, data, true); err != nil {
 			bufpool.Put(data)
 			return err
 		}
-	}
-	if wthrough {
-		return c.dev.WriteBlock(block, buf)
 	}
 	return nil
 }

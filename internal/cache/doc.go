@@ -6,10 +6,11 @@
 //
 // The cache stores copies of device blocks keyed by physical block
 // number. Reads hit the cache; misses fetch from the backing device.
-// Writes are write-behind by default (dirty blocks are flushed on
-// eviction or Flush), matching the prototype's "NASD has write-behind
-// (fully) enabled" configuration; write-through can be selected for
-// metadata.
+// Writes are always write-behind (dirty blocks are flushed on eviction
+// or Flush), matching the prototype's "NASD has write-behind (fully)
+// enabled" configuration. Metadata durability does not depend on the
+// cache: the object system journals every metadata mutation ahead of
+// its buffered in-place write (internal/journal).
 //
 // Stats() exposes hit/miss/prefetch/eviction/writeback counters; the
 // drive republishes them as the drive.cache.* pull gauges of DESIGN.md

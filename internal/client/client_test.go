@@ -430,25 +430,3 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		t.Fatalf("data lost across reopen: %v", err)
 	}
 }
-
-func TestAccountingCharged(t *testing.T) {
-	r := newRig(t, false)
-	r.mkpart(t, 1, 0)
-	id, _ := r.cli.Create(testCtx, nil, 1)
-	if err := r.cli.Write(testCtx, nil, 1, id, 0, make([]byte, 64*1024)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.cli.Read(testCtx, nil, 1, id, 0, 64*1024); err != nil {
-		t.Fatal(err)
-	}
-	stats, in, out := r.drv.Accounting().Stats()
-	if stats[drive.OpWriteObject].Count != 1 || stats[drive.OpReadObject].Count != 1 {
-		t.Fatalf("op counts = %+v", stats)
-	}
-	if in < 64*1024 || out < 64*1024 {
-		t.Fatalf("bytes = %d in, %d out", in, out)
-	}
-	if stats[drive.OpReadObject].CommsInstr == 0 || stats[drive.OpReadObject].ObjectInstr == 0 {
-		t.Fatal("no instructions charged")
-	}
-}

@@ -1,9 +1,6 @@
 package drive
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // This file carries the drive's instruction-accounting model, the
 // substitute for the paper's ATOM instrumentation and Alpha on-chip
@@ -12,7 +9,8 @@ import (
 // (DCE RPC + UDP/IP), then estimated request service time on a 200 MHz
 // embedded core at the measured CPI of 2.2.
 //
-// We reproduce the same quantities from a parametric model: a fixed
+// We reproduce the same quantities from a parametric model, evaluated
+// directly by the Table 1 experiment rather than charged per request: a fixed
 // per-request communications cost plus per-byte costs (the prototype's
 // protocol stack copied and checksummed every byte, with writes slightly
 // more expensive than reads), and an object-system cost with a fixed
@@ -118,54 +116,4 @@ func CostModel(op Op, n int, cold bool) OpCost {
 	default:
 		return OpCost{Comms: ctrlComms, Object: ctrlObj}
 	}
-}
-
-// Accounting accumulates modelled instruction costs per operation as a
-// drive serves requests, so experiments can report Table 1 quantities
-// from live traffic.
-type Accounting struct {
-	mu       sync.Mutex
-	ops      map[Op]int64
-	comms    map[Op]int64
-	object   map[Op]int64
-	bytesIn  int64
-	bytesOut int64
-}
-
-// NewAccounting returns empty counters.
-func NewAccounting() *Accounting {
-	return &Accounting{
-		ops:    make(map[Op]int64),
-		comms:  make(map[Op]int64),
-		object: make(map[Op]int64),
-	}
-}
-
-// Charge records one request's modelled cost.
-func (a *Accounting) Charge(op Op, cost OpCost, bytesIn, bytesOut int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ops[op]++
-	a.comms[op] += int64(cost.Comms)
-	a.object[op] += int64(cost.Object)
-	a.bytesIn += int64(bytesIn)
-	a.bytesOut += int64(bytesOut)
-}
-
-// OpStats summarizes accounting for one operation type.
-type OpStats struct {
-	Count       int64
-	CommsInstr  int64
-	ObjectInstr int64
-}
-
-// Stats returns per-op summaries and total bytes moved.
-func (a *Accounting) Stats() (map[Op]OpStats, int64, int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[Op]OpStats, len(a.ops))
-	for op, n := range a.ops {
-		out[op] = OpStats{Count: n, CommsInstr: a.comms[op], ObjectInstr: a.object[op]}
-	}
-	return out, a.bytesIn, a.bytesOut
 }

@@ -2,8 +2,9 @@
 // capability enforcement plus the RPC interface of Section 4.1 — fewer
 // than 20 requests covering object data and attributes, object and
 // partition lifecycle, copy-on-write versioning, and key management.
-// The package also carries the drive-side instruction-accounting model
-// calibrated against Table 1 of the paper.
+// The package also carries the instruction-cost model calibrated
+// against Table 1 of the paper (acct.go), which the Table 1 experiment
+// evaluates directly.
 //
 // Alongside that modelled cost breakdown the drive measures the real
 // one: every request's service time is split into the same three

@@ -70,7 +70,6 @@ type Drive struct {
 	nonces   *crypt.NonceWindow
 	secure   bool
 	clock    func() time.Time
-	acct     *Accounting
 	tel      *driveTel
 
 	mu      sync.Mutex
@@ -150,7 +149,6 @@ func fromStore(st *object.Store, cfg Config) *Drive {
 		nonces:   crypt.NewNonceWindow(256, 4096),
 		secure:   cfg.Secure,
 		clock:    clock,
-		acct:     NewAccounting(),
 		tel:      newDriveTel(reg, cfg.Media, spans, events),
 		kernels:  make(map[string]Kernel),
 	}
@@ -176,9 +174,6 @@ func (d *Drive) Store() *object.Store { return d.store }
 // Keys exposes the key hierarchy (for co-located file managers in
 // tests; a real file manager derives its own from the shared master).
 func (d *Drive) Keys() *crypt.Hierarchy { return d.keys }
-
-// Accounting returns the drive's instruction accounting.
-func (d *Drive) Accounting() *Accounting { return d.acct }
 
 // RegisterKernel installs an Active Disk kernel under a name.
 func (d *Drive) RegisterKernel(name string, k Kernel) {
@@ -272,9 +267,8 @@ func (d *Drive) objVersion(part uint16, obj uint64) (uint64, error) {
 }
 
 // Handle implements rpc.Handler: it decodes, authorizes, executes, and
-// charges both the modelled instruction accounting and the measured
-// telemetry (service time split into digest / object-system / media)
-// for one request.
+// records the measured telemetry (service time split into digest /
+// object-system / media) for one request.
 func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 	op := Op(req.Proc)
 	ph := &phases{}
@@ -308,16 +302,6 @@ func (d *Drive) Handle(req *rpc.Request) *rpc.Reply {
 		}
 	}
 	d.tel.record(op, req, rep, total, ph, d.tel.mediaNanos()-mediaBefore, sp, d.tel.lockWaitNanos()-lockBefore)
-	nIn, nOut := len(req.Data), 0
-	if rep != nil {
-		nOut = len(rep.Data)
-	}
-	cold := false // refined by the caller-visible cache stats when needed
-	n := nIn
-	if nOut > n {
-		n = nOut
-	}
-	d.acct.Charge(op, CostModel(op, n, cold), nIn, nOut)
 	return rep
 }
 

@@ -14,8 +14,8 @@ import (
 // This file carries the drive's measured telemetry: real service-time
 // observations per NASD operation, split into the same components the
 // paper's Table 1 reports — security (digest verification), object
-// system, and media. It complements acct.go, which *models* instruction
-// counts on 1998 hardware; telemetry measures what this implementation
+// system, and media. It complements acct.go, whose cost model gives
+// instruction counts on 1998 hardware; telemetry measures what this implementation
 // actually does, which is what `nasdctl stats` prints.
 //
 // The split is measured as follows for each request: digest time is

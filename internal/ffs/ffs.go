@@ -59,7 +59,7 @@ type FS struct {
 
 // Format creates an empty filesystem on dev.
 func Format(dev blockdev.Device) (*FS, error) {
-	lay, err := layout.Format(dev, layout.FormatOptions{})
+	lay, err := layout.Format(dev, layout.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func Format(dev blockdev.Device) (*FS, error) {
 
 // Open mounts an existing filesystem.
 func Open(dev blockdev.Device) (*FS, error) {
-	lay, err := layout.Open(dev)
+	lay, err := layout.Open(dev, layout.Options{})
 	if err != nil {
 		return nil, err
 	}

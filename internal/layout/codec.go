@@ -25,7 +25,7 @@ func encodeSuperblock(b []byte, sb *Superblock) {
 func decodeSuperblock(b []byte) (Superblock, error) {
 	le := binary.LittleEndian
 	var sb Superblock
-	if len(b) < 76 {
+	if len(b) < 92 {
 		return sb, ErrNotFormatted
 	}
 	sb.Magic = le.Uint32(b[0:])
@@ -33,9 +33,9 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 		return sb, ErrNotFormatted
 	}
 	sb.Version = le.Uint32(b[4:])
-	// Version 1 volumes predate the metadata journal: they open fine,
-	// with journaling disabled (JournalStart/JournalBlocks stay zero).
-	if sb.Version != 1 && sb.Version != FormatVersion {
+	// Version 1 volumes predate the metadata journal and no longer open:
+	// every volume has a journal region.
+	if sb.Version != FormatVersion {
 		return sb, fmt.Errorf("layout: unsupported format version %d", sb.Version)
 	}
 	sb.BlockSize = le.Uint32(b[8:])
@@ -47,10 +47,8 @@ func decodeSuperblock(b []byte) (Superblock, error) {
 	sb.DataStart = int64(le.Uint64(b[52:]))
 	sb.OnodeCount = int64(le.Uint64(b[60:]))
 	sb.NextObjectID = le.Uint64(b[68:])
-	if sb.Version >= 2 && len(b) >= 92 {
-		sb.JournalStart = int64(le.Uint64(b[76:]))
-		sb.JournalBlocks = int64(le.Uint64(b[84:]))
-	}
+	sb.JournalStart = int64(le.Uint64(b[76:]))
+	sb.JournalBlocks = int64(le.Uint64(b[84:]))
 	return sb, nil
 }
 

@@ -36,12 +36,13 @@ func TestOnodeCodecRoundTripProperty(t *testing.T) {
 
 // Property: superblock encode/decode is a bijection.
 func TestSuperblockCodecRoundTripProperty(t *testing.T) {
-	f := func(bs uint32, total, refStart, refBlocks, oStart, oBlocks, dataStart, oCount int64, next uint64) bool {
+	f := func(bs uint32, total, refStart, refBlocks, oStart, oBlocks, dataStart, oCount int64, next uint64, jStart, jBlocks int64) bool {
 		sb := Superblock{
 			Magic: Magic, Version: FormatVersion, BlockSize: bs,
 			TotalBlocks: total, RefStart: refStart, RefBlocks: refBlocks,
 			OnodeStart: oStart, OnodeBlocks: oBlocks, DataStart: dataStart,
 			OnodeCount: oCount, NextObjectID: next,
+			JournalStart: jStart, JournalBlocks: jBlocks,
 		}
 		buf := make([]byte, 4096)
 		encodeSuperblock(buf, &sb)
@@ -61,11 +62,14 @@ func TestDecodeSuperblockRejectsBadMagicAndVersion(t *testing.T) {
 	if _, err := decodeSuperblock(buf); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	encodeSuperblock(buf, &sb)
-	buf[4] = 99 // version
-	if _, err := decodeSuperblock(buf); err == nil {
-		t.Fatal("future version accepted")
+	for _, v := range []byte{1, 99} { // pre-journal, future
+		encodeSuperblock(buf, &sb)
+		buf[4] = v
+		if _, err := decodeSuperblock(buf); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
+	encodeSuperblock(buf, &sb)
 	if _, err := decodeSuperblock(buf[:10]); err == nil {
 		t.Fatal("short superblock accepted")
 	}

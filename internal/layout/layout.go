@@ -27,9 +27,9 @@ import (
 const (
 	// Magic identifies a formatted NASD volume.
 	Magic = 0x4E415344 // "NASD"
-	// FormatVersion is the layout version written by this package.
-	// Version 2 added the reserved metadata-journal region; version 1
-	// volumes still open, with journaling disabled.
+	// FormatVersion is the only layout version this package reads or
+	// writes. Version 2 added the reserved metadata-journal region;
+	// version-1 (pre-journal) volumes no longer open.
 	FormatVersion = 2
 	// OnodeSize is the on-disk size of one onode.
 	OnodeSize = 512
@@ -64,7 +64,7 @@ type Superblock struct {
 	OnodeCount   int64
 	NextObjectID uint64
 	// JournalStart/JournalBlocks locate the reserved write-ahead
-	// journal region (version 2; zero on version-1 volumes).
+	// journal region.
 	JournalStart  int64
 	JournalBlocks int64
 }
@@ -134,8 +134,7 @@ type Store struct {
 
 	ptrsPerBlock int64
 
-	// jnl is the write-ahead metadata journal (nil on version-1
-	// volumes or when formatted with journaling disabled). refPending
+	// jnl is the write-ahead metadata journal. refPending
 	// accumulates refcount changes since the last Sync for the next
 	// KindRefUpdate intent record; recovered holds the non-layout
 	// records (partition table, needle segment tables) replayed at
@@ -156,29 +155,19 @@ type Store struct {
 	meta *metaCache
 }
 
-// FormatOptions controls Format.
-type FormatOptions struct {
-	// OnodeCount is the number of onode slots (default: one per 64
-	// data blocks, min 128).
+// Options controls Format and Open.
+type Options struct {
+	// OnodeCount is the number of onode slots Format creates (default:
+	// one per 64 data blocks, min 128). Open reads it from the
+	// superblock.
 	OnodeCount int64
-	// JournalBlocks sizes the reserved write-ahead journal region.
-	// Zero picks a default (1/32 of the device, clamped to [16, 1024]
-	// blocks); a negative value disables journaling, which trades
-	// crash consistency for one less flush per metadata write (the
-	// journal-off benchmark configuration).
-	JournalBlocks int64
 	// Metrics receives the journal.* counters (optional).
 	Metrics *telemetry.Registry
 }
 
-// OpenOptions controls OpenWith.
-type OpenOptions struct {
-	// Metrics receives the journal.* counters (optional).
-	Metrics *telemetry.Registry
-}
-
-// defaultJournalBlocks sizes the journal region for a device.
-func defaultJournalBlocks(total int64) int64 {
+// journalBlocks sizes the journal region for a device: 1/32 of it,
+// clamped to [16, 1024] blocks.
+func journalBlocks(total int64) int64 {
 	jb := total / 32
 	if jb < 16 {
 		jb = 16
@@ -190,7 +179,7 @@ func defaultJournalBlocks(total int64) int64 {
 }
 
 // Format writes a fresh, empty layout to dev and returns the open store.
-func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
+func Format(dev blockdev.Device, opts Options) (*Store, error) {
 	bs := int64(dev.BlockSize())
 	if bs < 512 || bs%512 != 0 {
 		return nil, fmt.Errorf("layout: unsupported block size %d", bs)
@@ -207,21 +196,9 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 	}
 	onodesPerBlock := bs / OnodeSize
 	onodeBlocks := (onodeCount + onodesPerBlock - 1) / onodesPerBlock
-	jb := opts.JournalBlocks
-	switch {
-	case jb < 0:
-		jb = 0
-	case jb == 0:
-		jb = defaultJournalBlocks(total)
-	case jb < 16:
-		jb = 16
-	}
-	journalStart := int64(0)
-	refStart := int64(1)
-	if jb > 0 {
-		journalStart = 1
-		refStart = 1 + jb
-	}
+	jb := journalBlocks(total)
+	const journalStart = 1
+	refStart := journalStart + jb
 	dataStart := refStart + refBlocks + onodeBlocks
 	if dataStart >= total {
 		return nil, fmt.Errorf("layout: device too small (%d blocks, %d needed for metadata)", total, dataStart)
@@ -241,6 +218,13 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 		JournalStart:  journalStart,
 		JournalBlocks: jb,
 	}
+	if err := journal.Format(dev, journalStart, jb); err != nil {
+		return nil, err
+	}
+	j, _, _, err := journal.Open(dev, journalStart, jb, opts.Metrics)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		dev:          dev,
 		dataIO:       dev,
@@ -252,17 +236,8 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 		ptrsPerBlock: bs / 8,
 		allocHint:    dataStart,
 		meta:         newMetaCache(),
-	}
-	if jb > 0 {
-		if err := journal.Format(dev, journalStart, jb); err != nil {
-			return nil, err
-		}
-		j, _, _, err := journal.Open(dev, journalStart, jb, opts.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		s.jnl = j
-		s.refPending = make(map[int64]uint16)
+		jnl:          j,
+		refPending:   make(map[int64]uint16),
 	}
 	// Metadata blocks are permanently referenced.
 	for i := int64(0); i < dataStart; i++ {
@@ -286,19 +261,13 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Store, error) {
 	return s, nil
 }
 
-// Open reads an existing layout from dev.
-func Open(dev blockdev.Device) (*Store, error) {
-	return OpenWith(dev, OpenOptions{})
-}
-
-// OpenWith reads an existing layout from dev. On a journaled (version
-// 2) volume it first recovers the write-ahead journal: committed onode
-// records are patched onto the device before the onode scan, committed
+// Open reads an existing layout from dev. It first recovers the
+// write-ahead journal: committed onode records are patched onto the device before the onode scan, committed
 // refcount updates are replayed over the loaded allocator state, and
 // object-layer records (partition table, needle segment tables) are
 // retained for RecoveredRecords. The caller finishes recovery by
 // making the replayed state durable (Sync) and calling JournalReset.
-func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
+func Open(dev blockdev.Device, opts Options) (*Store, error) {
 	bs := int64(dev.BlockSize())
 	buf := make([]byte, bs)
 	if err := dev.ReadBlock(0, buf); err != nil {
@@ -311,6 +280,13 @@ func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 	if int64(sb.BlockSize) != bs {
 		return nil, fmt.Errorf("layout: superblock block size %d != device %d", sb.BlockSize, bs)
 	}
+	if sb.JournalBlocks <= 0 {
+		return nil, errors.New("layout: volume has no journal region")
+	}
+	j, recs, st, err := journal.Open(dev, sb.JournalStart, sb.JournalBlocks, opts.Metrics)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		dev:          dev,
 		dataIO:       dev,
@@ -321,30 +297,24 @@ func OpenWith(dev blockdev.Device, opts OpenOptions) (*Store, error) {
 		ptrsPerBlock: bs / 8,
 		allocHint:    sb.DataStart,
 		meta:         newMetaCache(),
+		jnl:          j,
+		refPending:   make(map[int64]uint16),
+		recStats:     st,
 	}
 	var refRecs []journal.Record
-	if sb.JournalBlocks > 0 {
-		j, recs, st, jerr := journal.Open(dev, sb.JournalStart, sb.JournalBlocks, opts.Metrics)
-		if jerr != nil {
-			return nil, jerr
-		}
-		s.jnl = j
-		s.refPending = make(map[int64]uint16)
-		s.recStats = st
-		for _, r := range recs {
-			switch r.Kind {
-			case journal.KindOnode:
-				// Patch the image onto the device now, before the
-				// onode scan below builds the index from it.
-				if err := s.replayOnode(r); err != nil {
-					return nil, err
-				}
-				j.Applied(r.LSN)
-			case journal.KindRefUpdate:
-				refRecs = append(refRecs, r)
-			default:
-				s.recovered = append(s.recovered, r)
+	for _, r := range recs {
+		switch r.Kind {
+		case journal.KindOnode:
+			// Patch the image onto the device now, before the onode
+			// scan below builds the index from it.
+			if err := s.replayOnode(r); err != nil {
+				return nil, err
 			}
+			j.Applied(r.LSN)
+		case journal.KindRefUpdate:
+			refRecs = append(refRecs, r)
+		default:
+			s.recovered = append(s.recovered, r)
 		}
 	}
 	// Load refcounts.
@@ -431,9 +401,6 @@ func (s *Store) replayOnode(r journal.Record) error {
 
 // --- Journal ----------------------------------------------------------
 
-// JournalEnabled reports whether the volume has a write-ahead journal.
-func (s *Store) JournalEnabled() bool { return s.jnl != nil }
-
 // journalAppend appends an intent record, recovering from a full
 // journal by flushing the device (which makes every issued in-place
 // effect durable) and compacting applied records away, then retrying.
@@ -457,9 +424,6 @@ func (s *Store) journalAppend(kind journal.Kind, payload []byte) (uint64, error)
 // record cannot fit even after compaction; the caller should fall back
 // to its direct durable write path.
 func (s *Store) JournalAppend(kind journal.Kind, payload []byte) (uint64, error) {
-	if s.jnl == nil {
-		return 0, errors.New("layout: journaling disabled")
-	}
 	lsn, err := s.journalAppend(kind, payload)
 	if err != nil {
 		return 0, err
@@ -472,20 +436,11 @@ func (s *Store) JournalAppend(kind journal.Kind, payload []byte) (uint64, error)
 
 // JournalApplied marks an object-layer record's in-place effect as
 // issued (see journal.Journal.Applied).
-func (s *Store) JournalApplied(lsn uint64) {
-	if s.jnl != nil {
-		s.jnl.Applied(lsn)
-	}
-}
+func (s *Store) JournalApplied(lsn uint64) { s.jnl.Applied(lsn) }
 
 // JournalReset discards the journal at the end of mount-time recovery.
 // Every replayed effect must already be durable (Sync first).
-func (s *Store) JournalReset() error {
-	if s.jnl == nil {
-		return nil
-	}
-	return s.jnl.Reset()
-}
+func (s *Store) JournalReset() error { return s.jnl.Reset() }
 
 // RecoveredRecords returns the object-layer journal records (partition
 // table, needle segment tables) replayed at Open, plus the scan stats.
@@ -664,11 +619,9 @@ func (s *Store) setRef(blk int64, v uint16) {
 	s.ref[blk] = v
 	refPerBlock := int64(s.sb.BlockSize) / 2
 	s.refDirty[blk/refPerBlock] = true
-	if s.jnl != nil {
-		// Accumulate for the KindRefUpdate intent record that Sync
-		// commits before rewriting the refcount region in place.
-		s.refPending[blk] = v
-	}
+	// Accumulate for the KindRefUpdate intent record that Sync commits
+	// before rewriting the refcount region in place.
+	s.refPending[blk] = v
 }
 
 // --- Onode management -------------------------------------------------
@@ -718,8 +671,7 @@ func (s *Store) ReadOnode(idx int64) (Onode, error) {
 // WriteOnode stores o at idx (write-through) and maintains the object ID
 // index. Writing a zero ObjectID releases the slot. The stripe lock
 // makes the read-modify-write of the shared onode block atomic against
-// writers of neighboring onodes. On a journaled volume the new onode
-// image is committed to the write-ahead journal before the in-place
+// writers of neighboring onodes. The new onode image is committed to the write-ahead journal before the in-place
 // write is issued, so a crash that loses or tears the onode block is
 // repaired by replay at the next mount.
 func (s *Store) WriteOnode(idx int64, o *Onode) error {
@@ -742,17 +694,13 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	off := (idx % per) * OnodeSize
 	prev := decodeOnode(buf[off : off+OnodeSize])
 	encodeOnode(buf[off:off+OnodeSize], o)
-	var lsn uint64
-	if s.jnl != nil {
-		var err error
-		lsn, err = s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), buf[off:off+OnodeSize]))
-		if err == nil {
-			err = s.jnl.Commit(lsn)
-		}
-		if err != nil {
-			l.Unlock()
-			return err
-		}
+	lsn, err := s.journalAppend(journal.KindOnode, journal.EncodeOnode(uint32(idx), buf[off:off+OnodeSize]))
+	if err == nil {
+		err = s.jnl.Commit(lsn)
+	}
+	if err != nil {
+		l.Unlock()
+		return err
 	}
 	if err := s.dev.WriteBlock(blk, buf); err != nil {
 		s.meta.invalidate(blk)
@@ -761,9 +709,7 @@ func (s *Store) WriteOnode(idx int64, o *Onode) error {
 	}
 	s.meta.fill(blk, buf)
 	l.Unlock()
-	if s.jnl != nil {
-		s.jnl.Applied(lsn)
-	}
+	s.jnl.Applied(lsn)
 	s.lockAlloc()
 	defer s.mu.Unlock()
 	if prev.Allocated() && (prev.ObjectID != o.ObjectID) {
@@ -1237,8 +1183,7 @@ func (s *Store) WriteDataBlock(blk int64, buf []byte) error {
 // --- Persistence ------------------------------------------------------
 
 // Sync flushes dirty refcount regions and the superblock to the
-// device. On a journaled volume the accumulated refcount changes are
-// first committed as one KindRefUpdate intent record — write-ahead of
+// device. The accumulated refcount changes are first committed as one KindRefUpdate intent record — write-ahead of
 // the in-place region rewrite — and after the flush the journal is
 // compacted (applied records discarded, unapplied ones carried
 // forward).
@@ -1249,7 +1194,7 @@ func (s *Store) Sync() error {
 	refPerBlock := bs / 2
 
 	var refLSN uint64
-	if s.jnl != nil && len(s.refPending) > 0 {
+	if len(s.refPending) > 0 {
 		blocks := make([]int64, 0, len(s.refPending))
 		refs := make([]uint16, 0, len(s.refPending))
 		for b, v := range s.refPending {
@@ -1300,15 +1245,12 @@ func (s *Store) Sync() error {
 	if err := s.dev.Flush(); err != nil {
 		return err
 	}
-	if s.jnl != nil {
-		// Every effect issued before the flush above is now durable,
-		// so applied records can be compacted away.
-		if refLSN != 0 {
-			s.jnl.Applied(refLSN)
-		}
-		return s.jnl.Checkpoint()
+	// Every effect issued before the flush above is now durable, so
+	// applied records can be compacted away.
+	if refLSN != 0 {
+		s.jnl.Applied(refLSN)
 	}
-	return nil
+	return s.jnl.Checkpoint()
 }
 
 // RepairRef forces a block's reference count to v. Mount-time

@@ -12,7 +12,7 @@ import (
 func newStore(t *testing.T, blocks int64) (*Store, *blockdev.MemDisk) {
 	t.Helper()
 	dev := blockdev.NewMemDisk(4096, blocks)
-	s, err := Format(dev, FormatOptions{})
+	s, err := Format(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFormatAndOpen(t *testing.T) {
 	if sb.DataStart <= 0 || sb.DataStart >= 1024 {
 		t.Fatalf("data start = %d", sb.DataStart)
 	}
-	s2, err := Open(dev)
+	s2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,45 @@ func TestFormatAndOpen(t *testing.T) {
 
 func TestOpenUnformatted(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 64)
-	if _, err := Open(dev); !errors.Is(err, ErrNotFormatted) {
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrNotFormatted) {
 		t.Fatalf("open unformatted: %v", err)
+	}
+}
+
+// TestOpenRejectsVolumeWithoutJournal: a volume with no journal region
+// — a version-1 (pre-journal) superblock, or a version-2 one formatted
+// without a journal — is refused rather than mounted crash-unsafe.
+func TestOpenRejectsVolumeWithoutJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		patch func(sb *Superblock)
+	}{
+		{"version 1", func(sb *Superblock) { sb.Version = 1; sb.JournalStart, sb.JournalBlocks = 0, 0 }},
+		{"no journal region", func(sb *Superblock) { sb.JournalStart, sb.JournalBlocks = 0, 0 }},
+	} {
+		_, dev := newStore(t, 1024)
+		buf := make([]byte, 4096)
+		if err := dev.ReadBlock(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		sb, err := decodeSuperblock(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.patch(&sb)
+		encodeSuperblock(buf, &sb)
+		if err := dev.WriteBlock(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dev, Options{}); err == nil {
+			t.Fatalf("%s: volume opened", tc.name)
+		}
 	}
 }
 
 func TestFormatTooSmall(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 10)
-	if _, err := Format(dev, FormatOptions{OnodeCount: 4096}); err == nil {
+	if _, err := Format(dev, Options{OnodeCount: 4096}); err == nil {
 		t.Fatal("format of too-small device succeeded")
 	}
 }
@@ -188,7 +219,7 @@ func TestOnodeIndexMaintained(t *testing.T) {
 
 func TestOnodeExhaustion(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 512)
-	s, err := Format(dev, FormatOptions{OnodeCount: 8})
+	s, err := Format(dev, Options{OnodeCount: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +489,7 @@ func TestFreeObjectBlocks(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dev := blockdev.NewMemDisk(4096, 1024)
-	s, err := Format(dev, FormatOptions{})
+	s, err := Format(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +511,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dev)
+	s2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

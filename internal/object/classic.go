@@ -425,8 +425,8 @@ func (c *classicBackend) readahead(seq *SeqTracker, o *layout.Onode, off, n uint
 	c.cache.Prefetch(blocks)
 }
 
-// Write implements StoreBackend. Writes are write-behind unless the
-// store was configured write-through. Quota admission reserves
+// Write implements StoreBackend. Data writes are write-behind: they
+// reach the device on eviction or Flush. Quota admission reserves
 // worst-case blocks up front so concurrent writers cannot jointly
 // overshoot a partition quota, and the reservation is settled from the
 // references the write actually added, so the metadata work of a write

@@ -13,19 +13,16 @@ import (
 // object (ControlObject, partition 0), so a reopened drive recovers its
 // partitions, quotas, and usage accounting without rescanning.
 //
-// Two encodings exist. The legacy (v1) table is a bare u32 count
-// followed by 26-byte records and knows nothing of backends; it is
-// still decoded so pre-backend volumes open cleanly, and every such
-// partition is classic by construction. The current (v2) table starts
-// with a sentinel count no v1 writer can produce, then carries the
-// backend kind and the needle metadata object IDs per record.
+// The table starts with a sentinel word, then a version, a count, and
+// one record per partition carrying its quota, usage, backend kind and
+// needle metadata object IDs. Version 1 (a bare count, no backends)
+// was written only on pre-journal volumes, which no longer open.
 
 const (
-	partitionRecordSizeV1 = 2 + 8 + 8 + 8
 	partitionRecordSizeV2 = 2 + 8 + 8 + 8 + 1 + 8 + 8
 
-	// partTableSentinel marks a versioned table; a v1 count of ~4
-	// billion partitions is impossible (the ID space is 16-bit).
+	// partTableSentinel leads every table; a version-1 table began with
+	// its partition count, which the 16-bit ID space keeps far below it.
 	partTableSentinel = 0xFFFFFFFF
 	partTableVersion  = 2
 )
@@ -51,15 +48,12 @@ func encodePartitions(parts map[uint16]*Partition) []byte {
 }
 
 func decodePartitions(b []byte) (map[uint16]*Partition, error) {
-	if len(b) < 4 {
+	if len(b) < 12 {
 		return nil, fmt.Errorf("object: control object too short (%d bytes)", len(b))
 	}
 	le := binary.LittleEndian
 	if le.Uint32(b) != partTableSentinel {
-		return decodePartitionsV1(b)
-	}
-	if len(b) < 12 {
-		return nil, fmt.Errorf("object: control object too short (%d bytes)", len(b))
+		return nil, errors.New("object: unversioned (version 1) partition table")
 	}
 	if v := le.Uint32(b[4:]); v != partTableVersion {
 		return nil, fmt.Errorf("object: unsupported partition table version %d", v)
@@ -86,63 +80,37 @@ func decodePartitions(b []byte) (map[uint16]*Partition, error) {
 	return parts, nil
 }
 
-func decodePartitionsV1(b []byte) (map[uint16]*Partition, error) {
-	le := binary.LittleEndian
-	n := int(le.Uint32(b))
-	if len(b) < 4+n*partitionRecordSizeV1 {
-		return nil, fmt.Errorf("object: control object truncated (%d partitions, %d bytes)", n, len(b))
-	}
-	parts := make(map[uint16]*Partition, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		p := &Partition{
-			ID:          le.Uint16(b[off:]),
-			QuotaBlocks: int64(le.Uint64(b[off+2:])),
-			UsedBlocks:  int64(le.Uint64(b[off+10:])),
-			ObjectCount: int64(le.Uint64(b[off+18:])),
-		}
-		parts[p.ID] = p
-		off += partitionRecordSizeV1
-	}
-	return parts, nil
-}
-
 // savePartitionsLocked persists the partition table to the control
 // object. Caller holds pmu (which also covers the control object's
-// onode and blocks — no user object maps onto them). On a journaled
-// volume the encoded table is committed to the write-ahead journal
-// first, so a crash that loses the buffered control-object write
-// replays the table at the next mount; each new record supersedes the
-// previous one, which is retired immediately.
+// onode and blocks — no user object maps onto them). The encoded table
+// is committed to the write-ahead journal first, so a crash that loses
+// the buffered control-object write replays the table at the next
+// mount; each new record supersedes the previous one, which is retired
+// immediately.
 func (s *Store) savePartitionsLocked() error {
 	data := encodePartitions(s.parts)
 	lay := s.classic.lay
-	if lay.JournalEnabled() {
-		lsn, err := lay.JournalAppend(journal.KindPartTable, data)
-		switch {
-		case errors.Is(err, journal.ErrFull):
-			// The table cannot fit even after compaction. Proceed with
-			// the buffered write alone — pre-journal durability: the
-			// table is safe at the next Flush.
-		case err != nil:
-			return err
-		default:
-			if s.partsLSN != 0 {
-				lay.JournalApplied(s.partsLSN)
-			}
-			s.partsLSN = lsn
+	lsn, err := lay.JournalAppend(journal.KindPartTable, data)
+	switch {
+	case errors.Is(err, journal.ErrFull):
+		// The table cannot fit even after compaction. Proceed with the
+		// buffered write alone: the table is safe at the next Flush.
+	case err != nil:
+		return err
+	default:
+		if s.partsLSN != 0 {
+			lay.JournalApplied(s.partsLSN)
 		}
+		s.partsLSN = lsn
 	}
 	idx, ok := lay.FindOnode(ControlObject)
 	var o layout.Onode
 	if ok {
-		var err error
 		o, err = lay.ReadOnode(idx)
 		if err != nil {
 			return err
 		}
 	} else {
-		var err error
 		idx, err = lay.AllocOnode()
 		if err != nil {
 			return err

@@ -32,7 +32,8 @@ go test -race \
     ./internal/rpc ./internal/client ./internal/cheops ./internal/blockdev
 
 # Crash-consistency focus: re-run the DESIGN.md §7 durability tests by
-# name — journal framing/commit/replay, CrashDisk semantics, the needle
+# name — journal framing/commit/replay, CrashDisk semantics, layout's
+# onode/refcount journal replay and superblock decoding, the needle
 # compaction barrier (TestCompactionSurvivesCrash), the quota
 # accounting check that the live per-write settlement matches the
 # mount-time census (TestQuotaAccountingExact*), and a short-mode
@@ -41,10 +42,10 @@ go test -race \
 # one run samples one set of goroutine interleavings; the full
 # 1000+-point sweep runs in the suite above and, three times under
 # -race with -v, in CI's dedicated crash-sweep job.
-echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact' (crash-consistency focus)"
+echo "==> go test -race -short -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact|Superblock' (crash-consistency focus)"
 go test -race -short \
-    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact' \
-    ./internal/journal ./internal/blockdev ./internal/needle ./internal/object
+    -run 'Crash|Journal|Torn|Recover|Checkpoint|Commit|QuotaAccountingExact|Superblock' \
+    ./internal/journal ./internal/blockdev ./internal/layout ./internal/needle ./internal/object
 
 # Chaos smoke: the kill/restart soak from DESIGN.md §6-§7 must pass end
 # to end — the victim drive is killed mid-run (server down, volatile
